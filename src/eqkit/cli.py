@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .doubly import certify_doubly, dea
 from .ea import EquiangularMatrix, certify_equiangular, sr_decompose
-from .errors import EqkitError, InvalidAngle, IoError, NotEquiangular
+from .errors import EqkitError, InvalidAlpha, InvalidAngle, IoError, NotEquiangular
 from .factor import alpha_real_root_bound, sdst_factor
 from .frames import FrameSet, is_etf, simplex_frame, welch_alpha
 from .io import read_matrix, write_matrix
@@ -63,13 +63,14 @@ def _emit(report: dict) -> int:
 
 def _resolve_alpha(args) -> float:
     if args.alpha is not None:
+        if not -1.0 < args.alpha < 1.0:  # NaN fails too
+            raise InvalidAlpha(f"--alpha must be a finite cosine in (-1, 1), got {args.alpha!r}")
         return float(args.alpha)
     if args.theta is None:
         raise InvalidAngle("one of --theta/--alpha is required")
-    theta = math.radians(args.theta)
-    if not 0.0 < theta < math.pi:
+    if not 0.0 < args.theta < 180.0:  # NaN fails too
         raise InvalidAngle(f"--theta must lie in (0, 180) degrees, got {args.theta!r}")
-    return math.cos(theta)
+    return math.cos(math.radians(args.theta))
 
 
 def _out_path(args, name: str) -> str:

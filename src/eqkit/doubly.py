@@ -31,7 +31,6 @@ SKIP_REFLECTION_TOL = 1e-12
 class DoublyEquiangular:
     mat: np.ndarray
     alpha: float
-    cert_tol: float = 1e-9
 
 
 def dea(A, alpha: float) -> DoublyEquiangular:

@@ -1,17 +1,22 @@
-"""Incremental construction of equiangular vector systems.
+"""Equiangular vector systems and the SR decomposition A = S R.
 
-Given independent input vectors a_1, ..., a_m and a target angle theta, the
-construction produces unit vectors s_1, ..., s_m whose pairwise inner
-products all equal cos(theta), with span(s_1..s_k) = span(a_1..a_k) for
-every prefix.  Each new vector is a blend of the direction orthogonal to
-the current span and the normalized running sum of the existing vectors:
+Given independent input vectors a_1, ..., a_m and a target cosine alpha,
+the Equiangular Algorithm produces unit vectors s_1, ..., s_m whose pairwise
+inner products all equal alpha, with span(s_1..s_k) = span(a_1..a_k) for
+every prefix.  The result is closed-form: with A = Q R_qr the QR
+factorization with positive diagonal, S = Q T and R = T^-1 R_qr, where T is
+the upper triangular Cholesky factor of the Gram matrix
+G = (1 - alpha) I + alpha ee^T.  Row k of T (1-based) holds d_k on the
+diagonal and the constant o_k in every later column:
 
-    s_{k+1} ~ q_{k+1} + gamma_k * (s_1 + ... + s_k) / ||s_1 + ... + s_k||
+    d_k = sqrt((1 - alpha) (1 + (k-1) alpha) / (1 + (k-2) alpha)),
+    o_k = alpha (1 - alpha) / ((1 + (k-2) alpha) d_k).
 
-with gamma_k = alpha * sqrt(k / ((1 - alpha) (1 + k alpha))), alpha being
-the target cosine.  The same expression covers acute and obtuse angles
-(gamma flips sign with alpha); an obtuse angle is feasible for a (k+1)-th
-vector only while alpha > -1/k.
+The same formulas cover acute and obtuse cosines; an obtuse cosine is
+feasible for k+1 vectors only while alpha > -1/k.  Extending a system S_k
+by one vector a takes the unit direction q of a orthogonal to span(S_k):
+
+    s_{k+1} = d_{k+1} q + alpha / (1 + (k-1) alpha) * (s_1 + ... + s_k).
 
 Factoring A = S R with S equiangular and R upper triangular with positive
 diagonal is the resulting analogue of QR.
@@ -24,15 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateAngle,
-    InvalidAlpha,
-    InvalidAngle,
-    NotSquare,
-    RankDeficient,
-)
-from .gram import BOUNDARY_TOL, GramParams, gram_inverse, gram_principal_sqrt, gram_sqrt_inverse
-from .kernel import RANK_RTOL, as_matrix
+from .errors import DegenerateAngle, InvalidAngle, NotSquare
+from .gram import BOUNDARY_TOL, GramParams, gram_principal_sqrt, gram_sqrt_inverse
+from .gram import gram_inverse  # noqa: F401  perfbench/spans.py traces eqkit.ea.gram_inverse
+from .kernel import as_matrix, qr, spectral_norm
 
 # 1 + k*alpha at or below this margin means the obtuse angle is too wide.
 DEGENERATE_TOL = 1e-12
@@ -44,7 +44,6 @@ class EquiangularMatrix:
 
     mat: np.ndarray
     alpha: float
-    cert_tol: float = 1e-9
 
 
 @dataclass
@@ -54,40 +53,27 @@ class SRDecomposition:
     residual: float = field(default=0.0)
 
 
-def _orthonormal_basis(S: np.ndarray) -> np.ndarray:
-    if S.shape[1] == 0:
-        return S
-    q, _ = np.linalg.qr(S)
-    return q
+def _cholesky_entries(k, alpha: float):
+    """Diagonal d_k and off-diagonal o_k of row k (1-based) of the Cholesky factor T.
 
-
-def _orth_step(basis: np.ndarray, a: np.ndarray):
-    """Component of ``a`` orthogonal to the orthonormal columns of ``basis``.
-
-    One projection plus one reorthogonalization pass; returns (q, rho) with
-    q unit and rho the residual norm before normalization.
+    ``k`` may be an int or an integer array.  d_k - o_k equals (1 - alpha)/d_k.
     """
-    r = a.astype(float, copy=True)
-    if basis.shape[1]:
-        r -= basis @ (basis.T @ r)
-        r -= basis @ (basis.T @ r)
-    rho = float(np.linalg.norm(r))
-    if rho <= RANK_RTOL * max(float(np.linalg.norm(a)), np.finfo(float).tiny):
-        raise RankDeficient("next vector lies in the span of the current system")
-    return r / rho, rho
+    shift = 1.0 + (k - 2) * alpha
+    d = np.sqrt((1.0 - alpha) * (1.0 + (k - 1) * alpha) / shift)
+    return d, alpha * (1.0 - alpha) / (shift * d)
 
 
-def _blend(S: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
-    """Mix the orthogonal direction q with the running sum of S's columns."""
+def _extend(S_k: EquiangularMatrix, a_next, alpha: float) -> np.ndarray:
+    S = as_matrix(S_k.mat)
     k = S.shape[1]
-    if k == 0:
-        return q
-    gamma = alpha * math.sqrt(k / ((1.0 - alpha) * (1.0 + k * alpha)))
-    wsum = S.sum(axis=1)
-    # ||sum of k unit vectors at cosine alpha|| has a closed form.
-    wnorm = math.sqrt(k * (1.0 + (k - 1) * alpha))
-    v = q + (gamma / wnorm) * wsum
-    return v / np.linalg.norm(v)
+    if k >= 1 and 1.0 + k * alpha <= DEGENERATE_TOL:
+        raise DegenerateAngle(
+            f"cos(theta)={alpha:.6g} <= -1/{k}: no unit vector can extend {k} vectors"
+        )
+    a = np.asarray(a_next, dtype=float).ravel()
+    Q, _ = qr(np.column_stack([S, a]))
+    d, _ = _cholesky_entries(k + 1, alpha)
+    return float(d) * Q[:, k] + (alpha / (1.0 + (k - 1) * alpha)) * S.sum(axis=1)
 
 
 def next_equiangular(S_k: EquiangularMatrix, a_next, theta: float) -> np.ndarray:
@@ -105,10 +91,7 @@ def next_equiangular(S_k: EquiangularMatrix, a_next, theta: float) -> np.ndarray
     """
     if not 0.0 < theta <= math.pi / 2 + 1e-12:
         raise InvalidAngle(f"acute construction needs theta in (0, pi/2], got {theta!r}")
-    S = as_matrix(S_k.mat)
-    a = np.asarray(a_next, dtype=float).ravel()
-    q, _ = _orth_step(_orthonormal_basis(S), a)
-    return _blend(S, q, max(math.cos(theta), 0.0))
+    return _extend(S_k, a_next, max(math.cos(theta), 0.0))
 
 
 def next_equiangular_obtuse(S_k: EquiangularMatrix, a_next, theta: float) -> np.ndarray:
@@ -119,16 +102,7 @@ def next_equiangular_obtuse(S_k: EquiangularMatrix, a_next, theta: float) -> np.
     """
     if not math.pi / 2 < theta < math.pi:
         raise InvalidAngle(f"obtuse construction needs theta in (pi/2, pi), got {theta!r}")
-    alpha = math.cos(theta)
-    S = as_matrix(S_k.mat)
-    k = S.shape[1]
-    if k >= 1 and 1.0 + k * alpha <= DEGENERATE_TOL:
-        raise DegenerateAngle(
-            f"cos(theta)={alpha:.6g} <= -1/{k}: no unit vector can extend {k} vectors"
-        )
-    a = np.asarray(a_next, dtype=float).ravel()
-    q, _ = _orth_step(_orthonormal_basis(S), a)
-    return _blend(S, q, alpha)
+    return _extend(S_k, a_next, math.cos(theta))
 
 
 def sr_decompose(A, theta: float) -> SRDecomposition:
@@ -142,14 +116,10 @@ def sr_decompose(A, theta: float) -> SRDecomposition:
 
     Returns
     -------
-    SRDecomposition with diag(R) > 0 and the recomputed residual ||A - S R||.
+    SRDecomposition with diag(R) > 0 and the recomputed residual ||A - S R||_2.
     """
     A = as_matrix(A)
-    n, m = A.shape
-    if n < m:
-        raise RankDeficient(f"{m} columns cannot be independent in dimension {n}")
-    if m == 0:
-        return SRDecomposition(EquiangularMatrix(A.copy(), math.cos(theta)), np.zeros((0, 0)))
+    m = A.shape[1]
     alpha = math.cos(theta)
     if abs(alpha) < 1e-15:
         alpha = 0.0  # theta = pi/2 routes to plain QR
@@ -157,54 +127,45 @@ def sr_decompose(A, theta: float) -> SRDecomposition:
         raise InvalidAngle(
             f"cos(theta)={alpha:.6g} outside (-1/{m - 1}, 1) for {m} columns"
         )
+    Q, R = qr(A)
+    # One column has T = [1] at any alpha, also at the alpha = +-1 let through above.
+    a = alpha if m >= 2 else 0.0
+    d, o = _cholesky_entries(np.arange(1, m + 1), a)
 
-    S = np.empty((n, m))
-    basis = np.empty((n, m))
-    norm0 = float(np.linalg.norm(A[:, 0]))
-    if norm0 <= RANK_RTOL:
-        raise RankDeficient("first column is zero")
-    basis[:, 0] = A[:, 0] / norm0
-    S[:, 0] = basis[:, 0]
-    for k in range(1, m):
-        q, _ = _orth_step(basis[:, :k], A[:, k])
-        basis[:, k] = q
-        S[:, k] = _blend(S[:, :k], q, alpha)
+    # S = Q T: column j is d_j q_j plus the prefix sum of o_i q_i over i < j.
+    S = Q * o
+    np.cumsum(S, axis=1, out=S)
+    Q *= (1.0 - a) / d  # d_j - o_j, without the cancellation
+    S += Q
+    del Q
 
-    # R solves S R = A in the least-squares sense; with the closed-form Gram
-    # inverse this is O(n m^2) and exact up to roundoff for consistent input.
-    if m >= 2:
-        R = gram_inverse(GramParams(m, alpha)) @ (S.T @ A)
-    else:
-        R = (S.T @ A) / float(S[:, 0] @ S[:, 0])
-    R = np.triu(R)  # strictly-lower entries are pure roundoff
-    residual = float(np.linalg.norm(A - S @ R, 2))
+    # R = T^-1 R_qr by back-substitution: row i is
+    # (R_qr[i] - o_i * sum of the later rows of R) / d_i, overwriting R_qr.
+    below = np.zeros(m)
+    for i in range(m - 1, -1, -1):
+        row = R[i]
+        row -= o[i] * below
+        row /= d[i]
+        below += row
+
+    E = S @ R
+    E -= A
+    residual = spectral_norm(E)
     return SRDecomposition(EquiangularMatrix(S, alpha), R, residual)
 
 
 def triangular_equiangular(p: GramParams) -> EquiangularMatrix:
     """Upper triangular equiangular system with positive diagonal.
 
-    Row i has a diagonal entry d_i and a single repeated value o_i in all
-    later columns:
-
-        d_1 = 1,   o_i = d_i - (1 - alpha) / d_i,
-        d_i = sqrt(1 - sum_{j<i} o_j^2).
-
-    This is the unique upper triangular member of the family (it is the
-    transposed Cholesky factor of the Gram matrix).  Requires 0 <= alpha < 1;
+    This is the unique upper triangular member of the family: the upper
+    Cholesky factor T of the Gram matrix, with d_k on the diagonal of row k
+    and o_k in all later columns (formulas in the module docstring).
     alpha = 0 yields the identity.
     """
-    if p.alpha < 0.0:
-        raise InvalidAlpha("triangular construction requires alpha >= 0")
     n, a = p.n, p.alpha
-    m = np.zeros((n, n))
-    sumsq = 0.0
-    for i in range(n):
-        d = math.sqrt(1.0 - sumsq)
-        o = d - (1.0 - a) / d
-        m[i, i] = d
-        m[i, i + 1 :] = o
-        sumsq += o * o
+    d, o = _cholesky_entries(np.arange(1, n + 1), a)
+    m = np.triu(np.repeat(o[:, None], n, axis=1), 1)
+    m[np.diag_indices(n)] = d
     return EquiangularMatrix(m, a)
 
 

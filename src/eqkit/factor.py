@@ -27,7 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ea import EquiangularMatrix, next_equiangular, sr_decompose, triangular_equiangular
+from .ea import (
+    EquiangularMatrix,
+    _cholesky_entries,
+    next_equiangular,
+    sr_decompose,
+    triangular_equiangular,
+)
 from .errors import (
     ComplexSpectrum,
     InvalidAlpha,
@@ -303,16 +309,9 @@ def schur_equiangular(A, alpha: float) -> tuple[EquiangularMatrix, np.ndarray]:
 
 def _triangular_ratio(i: int, alpha: float) -> float:
     """o_i / d_{i+1} of the triangular system, 1-based row index i."""
-    d2 = 1.0
-    o = 0.0
-    sumsq = 0.0
-    for row in range(1, i + 2):
-        d2 = 1.0 - sumsq
-        d = math.sqrt(d2)
-        if row == i:
-            o = d - (1.0 - alpha) / d
-        sumsq += (d - (1.0 - alpha) / d) ** 2
-    return o / math.sqrt(d2)
+    _, o = _cholesky_entries(i, alpha)
+    d, _ = _cholesky_entries(i + 1, alpha)
+    return float(o / d)
 
 
 def equiangular_eigenvectors(A, tol: float = 1e-8):

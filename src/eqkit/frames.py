@@ -1,7 +1,7 @@
 """Simplex frames: n+1 unit vectors in R^n at mutual cosine -1/n.
 
 These are the maximal obtuse equiangular configurations — the vertices of a
-regular simplex, built by a simple recursion — and they are tight frames:
+regular simplex, whose rows have a closed form — and they are tight frames:
 sum_i (x . s_i)^2 = ((n+1)/n) ||x||^2 for every x.  They meet the Welch
 coherence bound with equality, i.e. they are equiangular tight frames.
 """
@@ -37,21 +37,21 @@ class SimplexFrame:
 
 
 def simplex_frame(n: int) -> SimplexFrame:
-    """The n-dimensional simplex frame, by recursion on the dimension.
+    """The n-dimensional simplex frame, in closed form.
 
-    S_1 = [1, -1]; each step prepends a row (1, -1/n, ..., -1/n) and scales
-    the previous frame by sqrt(n^2 - 1)/n.  Columns are unit, pairwise
-    cosines are exactly -1/n, and all row sums vanish.
+    Row i (0-based) has c_i = sqrt((n+1)(n-i) / (n(n-i+1))) on the diagonal,
+    -c_i/(n-i) in every later column and zeros before it; row 0 is
+    (1, -1/n, ..., -1/n).  This is the recursion that prepends such a row and
+    scales the previous frame by sqrt(n^2 - 1)/n, unrolled.  Columns are
+    unit, pairwise cosines are exactly -1/n, and all row sums vanish.
     """
     if int(n) != n or n < 1:
         raise InvalidShape(f"dimension must be a positive integer, got {n!r}")
     n = int(n)
-    S = np.array([[1.0, -1.0]])
-    for k in range(2, n + 1):
-        rho = math.sqrt(k * k - 1.0) / k
-        top = np.full(k + 1, -1.0 / k)
-        top[0] = 1.0
-        S = np.vstack([top, np.hstack([np.zeros((k - 1, 1)), rho * S])])
+    rest = n - np.arange(n)  # n - i
+    c = np.sqrt((n + 1.0) * rest / (n * (rest + 1.0)))
+    S = np.triu(np.repeat((-c / rest)[:, None], n + 1, axis=1), 1)
+    S[np.diag_indices(n)] = c
     return SimplexFrame(S, n, -1.0 / n)
 
 

@@ -92,8 +92,14 @@ def read_matrix(path: str) -> np.ndarray:
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     if os.path.splitext(path)[1].lower() == ".mtx":
-        return _parse_matrix_market(text, path)
-    return _parse_csv(text, path)
+        M = _parse_matrix_market(text, path)
+    else:
+        M = _parse_csv(text, path)
+    bad = np.argwhere(~np.isfinite(M))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError(f"{path}: entry ({i + 1}, {j + 1}) is {M[i, j]}, not a finite number")
+    return M
 
 
 def write_matrix(path: str, M) -> None:

@@ -95,7 +95,9 @@ def qr(A):
         j = int(np.argmax(np.abs(d) <= RANK_RTOL * col_norms))
         raise RankDeficient(f"column {j} is dependent on the preceding columns")
     signs = np.where(d < 0, -1.0, 1.0)
-    return Q * signs, R * signs[:, None]
+    Q *= signs
+    R *= signs[:, None]
+    return Q, R
 
 
 def sym_eig(A):
@@ -147,12 +149,17 @@ def poly_roots(coeffs):
 
 
 def spectral_norm(A) -> float:
-    """2-norm of A, computed as sqrt of the top eigenvalue of A^T A."""
+    """2-norm of A, computed as sqrt of the top eigenvalue of A^T A.
+
+    A is scaled by max|A| first, so tiny entries do not underflow in A^T A.
+    """
     A = as_matrix(A)
-    if min(A.shape) == 0:
+    scale = float(max(A.max(), -A.min())) if A.size else 0.0
+    if scale == 0.0:
         return 0.0
+    A = A / scale
     w = np.linalg.eigvalsh(A.T @ A)
-    return float(np.sqrt(max(w[-1], 0.0)))
+    return scale * float(np.sqrt(max(w[-1], 0.0)))
 
 
 def generic_inverse(A, ops: OpCounter | None = None) -> np.ndarray:

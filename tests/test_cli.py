@@ -99,6 +99,21 @@ def test_mtx_malformed(tmp_path, text):
         read_matrix(p)
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("m.csv", "1,2\n3,nan\n"),
+        ("m.csv", "1,-inf\n"),
+        ("m.mtx", "%%MatrixMarket matrix array real general\n2 1\n1\ninf\n"),
+    ],
+)
+def test_non_finite_values_are_parse_errors(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(ParseError, match=str(p)):
+        read_matrix(p)
+
+
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(IoError):
         read_matrix(tmp_path / "nope.csv")
@@ -171,6 +186,26 @@ def test_unparseable_input_exit_code(tmp_path, capsys):
     p.write_text("1,spam\n")
     code, _, _ = run_cli(capsys, "sr", p, "--alpha", 0.5)
     assert code == 11
+
+
+@pytest.mark.parametrize(
+    "command, value, code",
+    [("sr", "2", 14), ("sr", "nan", 14), ("dea", "-1", 14), ("dea", "inf", 14)],
+)
+def test_bad_alpha_is_typed(hfile, capsys, command, value, code):
+    got, rep, err = run_cli(capsys, command, hfile, "--alpha", value)
+    assert got == code and rep is None
+    assert err.startswith(f"eqkit {command}: --alpha") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_non_finite_input_is_typed(tmp_path, capsys):
+    p = tmp_path / "nan.csv"
+    p.write_text("1,nan\n3,4\n")
+    code, rep, err = run_cli(capsys, "sr", p, "--alpha", 0.5, "--out", f"{tmp_path}/")
+    assert code == 11 and rep is None
+    assert str(p) in err and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "S.csv").exists()
 
 
 def test_inverse_fast_vs_generic(tmp_path, rng, capsys):

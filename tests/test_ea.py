@@ -1,4 +1,4 @@
-"""Incremental equiangular construction and the SR decomposition.
+"""One-vector equiangular extension and the SR decomposition.
 
 Printed matrices from worked examples are pinned to 4 decimals (tolerance
 1.5e-4, which absorbs last-digit rounding in the prints); everything else
@@ -210,6 +210,79 @@ def test_angle_too_wide_for_columns():
         sr_decompose(np.eye(4), math.acos(-1.0 / 3.0))
 
 
+# Cosines from comfortably acute to both ends of the admissible interval for
+# up to 50 columns.
+REFERENCE_ALPHAS = [0.5, 0.1, -0.05, 0.9999, -1.0 / 49.0 + 1e-6]
+
+
+def _reference_sr(A, alpha):
+    """S = Q T and R = T^-1 R_qr from numpy's QR and a dense Cholesky of G."""
+    Q, Rq = np.linalg.qr(A)
+    signs = np.where(np.diag(Rq) < 0, -1.0, 1.0)
+    Q, Rq = Q * signs, Rq * signs[:, None]
+    T = np.linalg.cholesky(gram_matrix(GramParams(A.shape[1], alpha))).T
+    return Q @ T, np.linalg.solve(T, Rq)
+
+
+@pytest.mark.parametrize("alpha", REFERENCE_ALPHAS)
+@pytest.mark.parametrize("shape", [(20, 20), (60, 20)])
+def test_sr_matches_qr_times_cholesky(rng, alpha, shape):
+    A = rng.standard_normal(shape)
+    dec = sr_decompose(A, math.acos(alpha))
+    S_ref, R_ref = _reference_sr(A, alpha)
+    assert np.abs(dec.S.mat - S_ref).max() <= 1e-12
+    assert np.abs(dec.R - R_ref).max() <= 1e-10 * np.abs(R_ref).max()
+    assert np.array_equal(dec.R, np.triu(dec.R)) and np.all(np.diag(dec.R) > 0)
+    assert dec.residual == pytest.approx(np.linalg.norm(A - dec.S.mat @ dec.R, 2), rel=1e-8)
+
+
+def test_sr_near_unit_cosine_against_mpmath():
+    """At alpha = 0.9999 the residual, evaluated in 50 digits, stays at roundoff."""
+    mpmath = pytest.importorskip("mpmath")
+    alpha = 0.9999
+    A = np.random.default_rng(66).standard_normal((6, 6))
+    dec = sr_decompose(A, math.acos(alpha))
+    with mpmath.workdps(50):
+        Am = mpmath.matrix(A.tolist())
+        Sm, Rm = mpmath.matrix(dec.S.mat.tolist()), mpmath.matrix(dec.R.tolist())
+        residual = mpmath.mnorm(Am - Sm * Rm, 1)
+        # The exact S: Gram-Schmidt q_k in 50 digits, times the exact T.
+        Q = mpmath.matrix(6, 6)
+        for k in range(6):
+            v = Am[:, k]
+            for i in range(k):
+                v -= (Q[:, i].T * Am[:, k])[0] * Q[:, i]
+            Q[:, k] = v / mpmath.norm(v)
+        a = mpmath.mpf(alpha)
+        G = mpmath.matrix(6, 6)
+        for i in range(6):
+            for j in range(6):
+                G[i, j] = 1 if i == j else a
+        S_exact = Q * mpmath.cholesky(G).T
+        s_err = max(abs(S_exact[i, j] - Sm[i, j]) for i in range(6) for j in range(6))
+    # ||.||_2 <= sqrt(n) ||.||_1 for a 6 x 6 matrix
+    assert float(residual) * math.sqrt(6) <= 1e-12 * np.linalg.norm(A, 2)
+    assert float(s_err) <= 1e-12
+
+
+def test_single_column_at_any_angle():
+    a = np.array([[3.0], [4.0]])
+    for theta in (0.0, math.pi / 3, math.pi):
+        dec = sr_decompose(a, theta)
+        assert np.allclose(dec.S.mat, [[0.6], [0.8]]) and np.allclose(dec.R, [[5.0]])
+
+
+@pytest.mark.parametrize("alpha", [0.35, -0.2])
+def test_next_equiangular_is_sr_column(rng, alpha):
+    theta = math.acos(alpha)
+    extend = next_equiangular if alpha >= 0 else next_equiangular_obtuse
+    A = rng.standard_normal((6, 4))
+    S = sr_decompose(A, theta).S.mat
+    for k in range(1, 4):
+        v = extend(EquiangularMatrix(S[:, :k], alpha), A[:, k], theta)
+        assert np.abs(v - S[:, k]).max() <= 1e-13
+
+
 # --- triangular_equiangular ------------------------------------------------
 
 
@@ -247,6 +320,14 @@ def test_triangular_row_structure():
     for i in range(4):
         d = Shat[i, i]
         assert np.allclose(Shat[i, i + 1 :], d - (1 - a) / d, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, alpha", [(2, -0.9), (3, -0.4), (8, -0.1), (50, -1.0 / 49.0 + 1e-6)])
+def test_triangular_obtuse(n, alpha):
+    p = GramParams(n, alpha)
+    Shat = triangular_equiangular(p).mat
+    assert np.array_equal(Shat, np.triu(Shat)) and np.all(np.diag(Shat) > 0)
+    assert np.linalg.norm(Shat.T @ Shat - gram_matrix(p), 2) <= 1e-14
 
 
 def test_triangular_uniqueness_vs_sr():

@@ -27,6 +27,21 @@ def test_s2_closed_form():
     assert np.abs(simplex_frame(2).mat - want).max() <= 1e-15
 
 
+def _simplex_by_recursion(n):
+    """S_1 = [1, -1]; prepend (1, -1/k, ..., -1/k) and scale the rest by sqrt(k^2 - 1)/k."""
+    S = np.array([[1.0, -1.0]])
+    for k in range(2, n + 1):
+        top = np.full(k + 1, -1.0 / k)
+        top[0] = 1.0
+        S = np.vstack([top, np.hstack([np.zeros((k - 1, 1)), math.sqrt(k * k - 1.0) / k * S])])
+    return S
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
+def test_closed_form_matches_recursion(n):
+    assert np.abs(simplex_frame(n).mat - _simplex_by_recursion(n)).max() <= 1e-14
+
+
 def test_s3_closed_form():
     want = np.array(
         [

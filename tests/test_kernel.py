@@ -126,6 +126,13 @@ def test_spectral_norm_matches_svd(rng):
     assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-10)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_spectral_norm_tiny_and_huge(rng, scale):
+    A = rng.standard_normal((6, 4)) * scale
+    assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-10, abs=0.0)
+    assert spectral_norm(np.zeros((3, 2))) == 0.0
+
+
 class TestGenericInverse:
     def test_diagonal(self):
         assert np.allclose(generic_inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
