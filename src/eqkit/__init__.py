@@ -34,6 +34,7 @@ from .errors import (
     InvalidAlpha,
     InvalidAngle,
     InvalidShape,
+    InvalidTolerance,
     IoError,
     MultiplicityUnsupported,
     NoConvergence,

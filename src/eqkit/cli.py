@@ -20,11 +20,11 @@ import numpy as np
 from . import __version__
 from .doubly import certify_doubly, dea
 from .ea import EquiangularMatrix, certify_equiangular, sr_decompose
-from .errors import EqkitError, InvalidAlpha, InvalidAngle, IoError, NotEquiangular
+from .errors import EqkitError, InvalidAlpha, InvalidAngle, InvalidTolerance, IoError, NotEquiangular
 from .factor import alpha_real_root_bound, sdst_factor
 from .frames import FrameSet, is_etf, simplex_frame, welch_alpha
 from .io import read_matrix, write_matrix
-from .kernel import generic_inverse, sym_eig
+from .kernel import generic_inverse, spectral_norm, sym_eig
 from .spectral import benchmark_inverse, fast_inverse, fit_exponent
 
 BENCH_SIZES = (64, 128, 256, 512)
@@ -36,7 +36,10 @@ def _digest(path: str) -> str:
 
 
 def _check(value: float, threshold: float) -> dict:
-    return {"value": float(value), "threshold": float(threshold), "pass": bool(value <= threshold)}
+    """One check entry; a non-finite value is reported as null and fails."""
+    value, threshold = float(value), float(threshold)
+    finite = math.isfinite(value)
+    return {"value": value if finite else None, "threshold": threshold, "pass": finite and value <= threshold}
 
 
 def _report(command: str, args, checks: dict, outputs: dict, extra: dict | None = None) -> dict:
@@ -56,7 +59,7 @@ def _report(command: str, args, checks: dict, outputs: dict, extra: dict | None 
 
 
 def _emit(report: dict) -> int:
-    json.dump(report, sys.stdout, indent=2)
+    json.dump(report, sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
     return 0 if report["passed"] else 1
 
@@ -85,10 +88,10 @@ def cmd_sr(args) -> int:
     write_matrix(paths["S"], dec.S.mat)
     write_matrix(paths["R"], dec.R)
     S, R = read_matrix(paths["S"]), read_matrix(paths["R"])
-    scale = max(1.0, float(np.linalg.norm(A, 2)))
+    scale = max(1.0, spectral_norm(A))
     cert = certify_equiangular(S, args.tol)
     checks = {
-        "sr_residual": _check(np.linalg.norm(A - S @ R, 2), args.tol * scale),
+        "sr_residual": _check(spectral_norm(A - S @ R), args.tol * scale),
         "alpha_certified": _check(abs((cert if cert is not None else np.inf) - alpha), args.tol),
         "r_diag_positive": _check(-float(np.min(np.diag(R))), 0.0),
     }
@@ -115,7 +118,7 @@ def cmd_inverse(args) -> int:
     inv_r = read_matrix(paths["inverse"])
     n = M.shape[0]
     checks = {
-        "inverse_residual": _check(np.linalg.norm(inv_r @ M - np.eye(n), 2), args.tol * n)
+        "inverse_residual": _check(spectral_norm(inv_r @ M - np.eye(n)), args.tol * n)
     }
     extra = {"parameters": {"alpha": alpha, "method": args.method}, "wall_times": {"invert": wall}}
     return _emit(_report("inverse", args, checks, paths, extra))
@@ -162,9 +165,9 @@ def cmd_sdst(args) -> int:
     write_matrix(paths["D"], fac.D.reshape(1, -1))
     S = read_matrix(paths["S"])
     d = read_matrix(paths["D"]).ravel()
-    scale = max(1.0, float(np.linalg.norm(A, 2)))
+    scale = max(1.0, spectral_norm(A))
     checks = {
-        "sdst_residual": _check(np.linalg.norm(S @ np.diag(d) @ S.T - A, 2), max(args.tol, 1e-7) * scale),
+        "sdst_residual": _check(spectral_norm(S @ np.diag(d) @ S.T - A), max(args.tol, 1e-7) * scale),
         "trace_match": _check(abs(d.sum() - np.trace(A)), 1e-8 * scale),
     }
     extra = {"parameters": {"alpha": args.alpha}, "d": [float(x) for x in fac.D]}
@@ -182,8 +185,8 @@ def cmd_dea(args) -> int:
     G = (1.0 - alpha) * np.eye(n) + alpha * np.ones((n, n))
     c = math.sqrt(1.0 + (n - 1) * alpha)
     checks = {
-        "columns_gram": _check(np.linalg.norm(S.T @ S - G, 2), args.tol * n),
-        "rows_gram": _check(np.linalg.norm(S @ S.T - G, 2), args.tol * n),
+        "columns_gram": _check(spectral_norm(S.T @ S - G), args.tol * n),
+        "rows_gram": _check(spectral_norm(S @ S.T - G), args.tol * n),
         "row_sums": _check(np.max(np.abs(S.sum(axis=1) - c)), args.tol * n),
         "col_sums": _check(np.max(np.abs(S.sum(axis=0) - c)), args.tol * n),
     }
@@ -205,7 +208,7 @@ def cmd_frame(args) -> int:
         "gram_offdiag": _check(np.max(np.abs(off + 1.0 / n)), args.tol),
         "unit_columns": _check(np.max(np.abs(np.diag(G) - 1.0)), args.tol),
         "row_sums": _check(np.max(np.abs(S.sum(axis=1))), args.tol),
-        "tight": _check(np.linalg.norm(ff - (n + 1.0) / n * np.eye(n), 2), args.tol),
+        "tight": _check(spectral_norm(ff - (n + 1.0) / n * np.eye(n)), args.tol),
         "welch": _check(abs(welch_alpha(n, n + 1) - 1.0 / n), args.tol),
     }
     return _emit(_report("frame", args, checks, paths, {"parameters": {"n": n}}))
@@ -283,6 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 0.0 < args.tol < math.inf:  # NaN fails too
+            raise InvalidTolerance(f"--tol must be a finite number > 0, got {args.tol!r}")
         return args.func(args)
     except EqkitError as exc:
         print(f"eqkit {args.command}: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ import numpy as np
 from .ea import certify_equiangular, sr_decompose
 from .errors import OutOfRange, RankDeficient, Singular
 from .gram import GramParams, gram_principal_sqrt
-from .kernel import as_matrix, require_square
+from .kernel import as_matrix, require_square, spectral_norm
 
 # Below this, the row-sum vector already points along e and the reflection
 # is skipped.
@@ -78,7 +78,7 @@ def certify_doubly(M, tol: float = 1e-8):
     col_sums = M.sum(axis=0)
     if float(np.max(np.abs(row_sums - c))) > tol or float(np.max(np.abs(col_sums - c))) > tol:
         return None
-    if float(np.linalg.norm(M @ M.T - M.T @ M, 2)) > tol:
+    if spectral_norm(M @ M.T - M.T @ M) > tol:
         return None
     return float(alpha)
 

@@ -25,7 +25,7 @@ diagonal is the resulting analogue of QR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class EquiangularMatrix:
 class SRDecomposition:
     S: EquiangularMatrix
     R: np.ndarray
-    residual: float = field(default=0.0)
+    residual: float
 
 
 def _cholesky_entries(k, alpha: float):
@@ -207,8 +207,6 @@ def random_equiangular(n: int, alpha: float, rng=None, m: int | None = None) -> 
     """Random equiangular system: Haar orthonormal columns times the principal Gram root."""
     rng = np.random.default_rng(rng)
     m = n if m is None else m
-    g = rng.standard_normal((n, m))
-    q, r = np.linalg.qr(g)
-    q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
+    q, _ = qr(rng.standard_normal((n, m)))
     _, sbar = gram_principal_sqrt(GramParams(m, alpha))
     return EquiangularMatrix(q @ sbar, float(alpha))

@@ -129,3 +129,9 @@ class NotEigenpair(EqkitError):
     """Supplied (value, vector) pair is not an eigenpair of the matrix."""
 
     exit_code = 29
+
+
+class InvalidTolerance(EqkitError):
+    """A tolerance that is not a finite positive number."""
+
+    exit_code = 30

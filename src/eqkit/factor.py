@@ -27,13 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ea import (
-    EquiangularMatrix,
-    _cholesky_entries,
-    next_equiangular,
-    sr_decompose,
-    triangular_equiangular,
-)
+from .ea import EquiangularMatrix, sr_decompose, triangular_equiangular
 from .errors import (
     ComplexSpectrum,
     InvalidAlpha,
@@ -42,7 +36,15 @@ from .errors import (
     WrongSpectrum,
 )
 from .gram import GramParams, dual_params, gram_principal_sqrt
-from .kernel import ROOT_SNAP_RTOL, as_matrix, poly_roots, real_schur, require_square, sym_eig
+from .kernel import (
+    ROOT_SNAP_RTOL,
+    as_matrix,
+    poly_roots,
+    real_schur,
+    require_square,
+    spectral_norm,
+    sym_eig,
+)
 
 # Two eigenvalues are treated as equal below this relative separation.
 CLUSTER_RTOL = 1e-8
@@ -50,11 +52,10 @@ CLUSTER_RTOL = 1e-8
 
 @dataclass
 class PolySpec:
-    """Monic factorization polynomial; coeffs descending, source in {g_n, f_n}."""
+    """Monic factorization polynomial; coeffs descending."""
 
     coeffs: np.ndarray
     alpha: float
-    source: str = "g_n"
 
 
 @dataclass
@@ -86,11 +87,11 @@ def sdst_coefficients(lambdas, alpha: float) -> np.ndarray:
     return e[1:] / denom
 
 
-def build_poly(lambdas, alpha: float, source: str = "g_n") -> PolySpec:
+def build_poly(lambdas, alpha: float) -> PolySpec:
     """Monic polynomial whose roots are the candidate diagonal entries d_i."""
     c = sdst_coefficients(lambdas, alpha)
     coeffs = np.concatenate(([1.0], c * (-1.0) ** np.arange(1, c.size + 1)))
-    return PolySpec(coeffs=coeffs, alpha=float(alpha), source=source)
+    return PolySpec(coeffs=coeffs, alpha=float(alpha))
 
 
 def nonreal_root_certificate(poly: PolySpec) -> int:
@@ -263,23 +264,18 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
         raise NonRealRoots("recovered spectrum does not match the target within 1e-7")
     S_block = _fix_column_signs(Qm).T @ sbar  # factors diag(lam_nz ascending)
 
+    S = S_block
     if n_zero:
-        S = np.zeros((n, n))
-        S[:m, :m] = S_block
-        em = EquiangularMatrix(S[:, :m], alpha)
-        theta = math.acos(alpha)
-        for j in range(m, n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            S[:, j] = next_equiangular(em, e, theta)
-            em = EquiangularMatrix(S[:, : j + 1], alpha)
-        d_full = np.concatenate([d, np.zeros(n_zero)])
-    else:
-        S = S_block
-        d_full = d
+        # S_block's Gram matrix is G_alpha, so it is its own SR factor and the
+        # SR factor of blockdiag(S_block, I) extends it by the zero-eigenvalue
+        # directions.
+        B = np.eye(n)
+        B[:m, :m] = S_block
+        S = sr_decompose(B, math.acos(alpha)).S.mat
+    d_full = np.concatenate([d, np.zeros(n_zero)])
 
     S_out = Qp @ S
-    residual = float(np.linalg.norm(S_out @ np.diag(d_full) @ S_out.T - A, 2))
+    residual = spectral_norm(S_out @ np.diag(d_full) @ S_out.T - A)
     return SDSTFactorization(EquiangularMatrix(S_out, alpha), d_full, residual)
 
 
@@ -307,13 +303,6 @@ def schur_equiangular(A, alpha: float) -> tuple[EquiangularMatrix, np.ndarray]:
     return dec.S, T
 
 
-def _triangular_ratio(i: int, alpha: float) -> float:
-    """o_i / d_{i+1} of the triangular system, 1-based row index i."""
-    _, o = _cholesky_entries(i, alpha)
-    d, _ = _cholesky_entries(i + 1, alpha)
-    return float(o / d)
-
-
 def equiangular_eigenvectors(A, tol: float = 1e-8):
     """Detect whether A's eigenvectors form an equiangular family.
 
@@ -324,9 +313,13 @@ def equiangular_eigenvectors(A, tol: float = 1e-8):
 
         shat_(i,i+1) / shat_(i+1,i+1) = t_(i,i+1) / (t_(i+1,i+1) - t_ii)
 
-    for the triangular system at alpha (solved by bisection; the ratio is
-    monotone in alpha), and the candidate must then pass the global check
-    T shat = shat diag(T).
+    for the triangular system at alpha.  That ratio is o_i / d_(i+1) =
+    alpha / sqrt((1 + (i-2) alpha)(1 + i alpha)) for 1-based row i, which
+    inverts in closed form to
+
+        alpha = rho / (sqrt(1 + rho^2) - (i-1) rho),
+
+    and the candidate must then pass the global check T shat = shat diag(T).
 
     Raises ComplexSpectrum when A has non-real eigenvalues.
     """
@@ -343,9 +336,8 @@ def equiangular_eigenvectors(A, tol: float = 1e-8):
         # Single eigenvalue: only A = c I qualifies, and then any basis at
         # any cosine works; alpha = 0.5 by convention.
         lam = float(w.mean())
-        if float(np.linalg.norm(A - lam * np.eye(n), 2)) <= tol * scale:
-            shat = triangular_equiangular(GramParams(n, 0.5))
-            return 0.5, EquiangularMatrix(shat.mat.copy(), 0.5)
+        if spectral_norm(A - lam * np.eye(n)) <= tol * scale:
+            return 0.5, triangular_equiangular(GramParams(n, 0.5))
         return None
 
     order = np.argsort(w)
@@ -361,25 +353,18 @@ def equiangular_eigenvectors(A, tol: float = 1e-8):
     signs = np.where(np.diag(R) < 0, -1.0, 1.0)
     Q, R = Q * signs, R * signs[:, None]
     T = R @ np.diag(w) @ np.linalg.inv(R)
-    t_norm = max(1.0, float(np.linalg.norm(T, 2)))
+    t_norm = max(1.0, spectral_norm(T))
 
     for i in range(n - 1):
         denom = T[i + 1, i + 1] - T[i, i]
         if abs(denom) <= tol * scale:
             continue
-        rho = T[i, i + 1] / denom
-        lo, hi = 1e-6, 1.0 - 1e-6
-        f = lambda a: _triangular_ratio(i + 1, a)
-        if not f(lo) <= rho <= f(hi):
+        rho = float(T[i, i + 1] / denom)
+        root = math.sqrt(1.0 + rho * rho) - i * rho  # row i + 1, 1-based
+        if root <= 0.0 or not 1e-6 <= rho / root <= 1.0 - 1e-6:
             continue
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if f(mid) < rho:
-                lo = mid
-            else:
-                hi = mid
-        alpha = 0.5 * (lo + hi)
+        alpha = rho / root
         shat = triangular_equiangular(GramParams(n, alpha)).mat
-        if float(np.linalg.norm(T @ shat - shat * w[None, :], 2)) <= 1e-8 * t_norm:
+        if spectral_norm(T @ shat - shat * w[None, :]) <= 1e-8 * t_norm:
             return float(alpha), EquiangularMatrix(Q @ shat, float(alpha))
     return None

@@ -15,15 +15,14 @@ import numpy as np
 
 from .ea import EquiangularMatrix
 from .errors import InvalidShape, NotSpanning
-from .kernel import as_matrix, sym_eig
+from .kernel import as_matrix, spectral_norm, sym_eig
 
 
 @dataclass
 class FrameSet:
-    """A finite family of vectors (columns) together with optional frame bounds."""
+    """A finite family of vectors (columns)."""
 
     vectors: np.ndarray
-    bounds: tuple[float, float] | None = None
 
 
 @dataclass
@@ -100,7 +99,7 @@ def is_etf(F: FrameSet, tol: float = 1e-8) -> EtfReport:
         coherence = 0.0
     W = V @ V.T
     frame_constant = float(np.trace(W)) / n
-    if float(np.linalg.norm(W - frame_constant * np.eye(n), 2)) > tol * max(1.0, frame_constant):
+    if spectral_norm(W - frame_constant * np.eye(n)) > tol * max(1.0, frame_constant):
         failed.append("tight")
     return EtfReport(ok=not failed, failed=failed, coherence=coherence, frame_constant=frame_constant)
 

@@ -54,13 +54,19 @@ class SqrtParams:
 
     def matrix(self, n: int) -> np.ndarray:
         """Materialize (s - t) I + t ee^T."""
-        return (self.s - self.t) * np.eye(n) + self.t * np.ones((n, n))
+        return _ones_structured(n, self.s, self.t)
 
 
 def _ones_structured(n: int, diag: float, off: float) -> np.ndarray:
     m = np.full((n, n), off)
     np.fill_diagonal(m, diag)
     return m
+
+
+def _from_eigenvalues(n: int, rep: float, simple: float) -> SqrtParams:
+    """The member of span{I, ee^T} with eigenvalue ``rep`` on e-perp and ``simple`` on e."""
+    t = (simple - rep) / n
+    return SqrtParams(s=rep + t, t=t)
 
 
 def gram_matrix(p: GramParams) -> np.ndarray:
@@ -96,11 +102,9 @@ def gram_principal_sqrt(p: GramParams) -> tuple[SqrtParams, np.ndarray]:
     (s - t) I + t ee^T, whose eigenvalues are sqrt(1 - alpha) and
     sqrt(1 + (n-1) alpha).
     """
-    n, a = p.n, p.alpha
-    big = np.sqrt(1.0 + (n - 1) * a)
-    small = np.sqrt(1.0 - a)
-    sp = SqrtParams(s=(big + (n - 1) * small) / n, t=(big - small) / n)
-    return sp, sp.matrix(n)
+    rep, simple = np.sqrt(gram_eigenvalues(p))
+    sp = _from_eigenvalues(p.n, rep, simple)
+    return sp, sp.matrix(p.n)
 
 
 def gram_sqrt_variants(p: GramParams) -> list[SqrtParams]:
@@ -110,30 +114,21 @@ def gram_sqrt_variants(p: GramParams) -> list[SqrtParams]:
     index 1 is the variant that flips the sign of the repeated eigenvalue.
     At alpha = (n-2)/(n-1) the variant has s = 0, off-diagonal 1/sqrt(n-1).
     """
-    n, a = p.n, p.alpha
-    big = np.sqrt(1.0 + (n - 1) * a)
-    small = np.sqrt(1.0 - a)
-    principal = SqrtParams(s=(big + (n - 1) * small) / n, t=(big - small) / n)
-    variant = SqrtParams(s=(big - (n - 1) * small) / n, t=(big + small) / n)
-    return [principal, variant]
+    rep, simple = np.sqrt(gram_eigenvalues(p))
+    return [_from_eigenvalues(p.n, rep, simple), _from_eigenvalues(p.n, -rep, simple)]
 
 
 def gram_sqrt_inverse(p: GramParams) -> np.ndarray:
     """Inverse of the principal square root, in closed form."""
-    n, a = p.n, p.alpha
-    lo = 1.0 / np.sqrt(1.0 - a)  # inverse of the repeated eigenvalue
-    hi = 1.0 / np.sqrt(1.0 + (n - 1) * a)
-    return _ones_structured(n, lo + (hi - lo) / n, (hi - lo) / n)
+    rep, simple = 1.0 / np.sqrt(gram_eigenvalues(p))
+    return _from_eigenvalues(p.n, rep, simple).matrix(p.n)
 
 
 def gram_condition(p: GramParams) -> float:
     """2-norm condition number of a square equiangular matrix at these parameters.
 
-    Equals sqrt(1 + n a / (1 - a)) for a >= 0 and
-    sqrt(1 + n |a| / (1 - (n-1) |a|)) for a < 0.
+    The singular values are the square roots of the Gram eigenvalues, so this
+    is sqrt(max / min) of ``gram_eigenvalues``.
     """
-    n, a = p.n, p.alpha
-    if a >= 0.0:
-        return float(np.sqrt(1.0 + n * a / (1.0 - a)))
-    b = -a
-    return float(np.sqrt(1.0 + n * b / (1.0 - (n - 1) * b)))
+    lam = gram_eigenvalues(p)
+    return float(np.sqrt(max(lam) / min(lam)))

@@ -3,7 +3,8 @@
 QR, symmetric eigendecomposition, real Schur form and polynomial root
 finding are delegated to LAPACK (via numpy/scipy); this module pins down
 the conventions the rest of the code relies on: nonnegative R diagonal,
-ascending eigenvalues, rank and root-snapping tolerances.
+ascending eigenvalues, rank and root-snapping tolerances.  ``spectral_norm``
+is the one matrix 2-norm the package and the CLI use.
 
 ``generic_inverse`` is deliberately a hand-written LU inverse: it serves as
 the cubic-cost baseline against which the structured inverse is benchmarked,

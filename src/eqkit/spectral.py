@@ -24,7 +24,7 @@ import numpy as np
 
 from .ea import EquiangularMatrix, random_equiangular
 from .errors import NotEigenpair, NotSquare
-from .gram import GramParams, dual_params
+from .gram import GramParams, dual_params, gram_eigenvalues
 from .kernel import OpCounter, as_matrix, generic_inverse
 
 
@@ -66,9 +66,8 @@ def inverse_geometry(p: GramParams) -> InverseGeometry:
 
 def eigenvalue_bounds(p: GramParams) -> tuple[float, float]:
     """Interval [sqrt(1-a), sqrt(1+(n-1)a)] containing every |eigenvalue|."""
-    lo = float(np.sqrt(1.0 - p.alpha))
-    hi = float(np.sqrt(1.0 + (p.n - 1) * p.alpha))
-    return (min(lo, hi), max(lo, hi))
+    lo, hi = sorted(np.sqrt(gram_eigenvalues(p)))
+    return float(lo), float(hi)
 
 
 def eig_relation_check(S: EquiangularMatrix, lam, x, pair_tol: float = 1e-6) -> float:

@@ -199,6 +199,28 @@ def test_bad_alpha_is_typed(hfile, capsys, command, value, code):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("command", ["sr", "frame"])
+def test_bad_tol_is_typed(tmp_path, hfile, capsys, command, value):
+    args = [hfile, "--alpha", 0.5] if command == "sr" else ["--n", 3]
+    code, rep, err = run_cli(capsys, command, *args, "--tol", value, "--out", f"{tmp_path}/t_")
+    assert code == 30 and rep is None
+    assert err.startswith(f"eqkit {command}: --tol") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("t_*"))
+
+
+def test_failed_certification_is_strict_json(tmp_path, hfile, capsys):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    code = main(["sr", str(hfile), "--alpha", "0.5", "--tol", "1e-300", "--out", f"{tmp_path}/"])
+    rep = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 1 and rep["passed"] is False
+    assert rep["checks"]["alpha_certified"]["value"] is None
+    assert rep["checks"]["alpha_certified"]["pass"] is False
+
+
 def test_non_finite_input_is_typed(tmp_path, capsys):
     p = tmp_path / "nan.csv"
     p.write_text("1,nan\n3,4\n")

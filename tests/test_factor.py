@@ -212,13 +212,18 @@ def test_sdst_rejects_zero_one_one():
 
 def test_sdst_zero_eigenvalues_extension(rng):
     # up to n-2 zeros ride along via the EA block extension
-    g = rng.standard_normal((5, 5))
-    Q, _ = np.linalg.qr(g)
-    A = Q @ np.diag([0.0, 0.0, 1.0, 2.0, 3.5]) @ Q.T
-    f = sdst_factor(A, 0.12)
-    assert f.residual <= 1e-8 * np.linalg.norm(A, 2)
-    assert np.sort(f.D)[:2] == pytest.approx([0.0, 0.0], abs=1e-9)
-    assert certify_equiangular(f.S, tol=1e-8) is not None
+    for spectrum, alpha in [
+        ([0.0, 0.0, 1.0, 2.0, 3.5], 0.12),
+        ([0.0, 0.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0], 0.05),
+    ]:
+        n, n_zero = len(spectrum), spectrum.count(0.0)
+        g = rng.standard_normal((n, n))
+        Q, _ = np.linalg.qr(g)
+        A = Q @ np.diag(spectrum) @ Q.T
+        f = sdst_factor(A, alpha)
+        assert f.residual <= 1e-8 * np.linalg.norm(A, 2)
+        assert np.sort(f.D)[:n_zero] == pytest.approx([0.0] * n_zero, abs=1e-9)
+        assert certify_equiangular(f.S, tol=1e-8) == pytest.approx(alpha, abs=1e-8)
 
 
 def test_sdst_too_many_zeros():
@@ -306,12 +311,12 @@ def test_schur_equiangular_keeps_rotation_block():
 
 
 def test_eigenvector_recovery_round_trip():
-    for n, seed in [(3, 0), (4, 1), (6, 2)]:
-        A, _ = _planted(n, 0.4, np.arange(1.0, n + 1.0), seed)
+    for n, seed, planted in [(3, 0, 0.4), (4, 1, 0.4), (6, 2, 0.4), (8, 3, 0.01), (8, 5, 0.95)]:
+        A, _ = _planted(n, planted, np.arange(1.0, n + 1.0), seed)
         out = equiangular_eigenvectors(A)
         assert out is not None
         alpha, V = out
-        assert abs(alpha - 0.4) <= 1e-6
+        assert abs(alpha - planted) <= 1e-6
         w = np.arange(1.0, n + 1.0)
         for i in range(n):
             assert np.linalg.norm(A @ V.mat[:, i] - w[i] * V.mat[:, i]) <= 1e-7 * n

@@ -122,8 +122,17 @@ def test_spectral_norm_identity():
 
 
 def test_spectral_norm_matches_svd(rng):
-    A = rng.standard_normal((6, 4))
-    assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-10)
+    G = rng.standard_normal((7, 7))
+    u, v = rng.standard_normal(7), rng.standard_normal(5)
+    inputs = {
+        "general": G,
+        "symmetric indefinite": G + G.T,
+        "tall": rng.standard_normal((9, 4)),
+        "wide": rng.standard_normal((6, 7)),
+        "rank one": np.outer(u, v),
+    }
+    for name, A in inputs.items():
+        assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12), name
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
