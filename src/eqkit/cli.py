@@ -18,11 +18,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .doubly import certify_doubly, dea
+from .doubly import certify_doubly, dea, row_sum_params
 from .ea import EquiangularMatrix, certify_equiangular, sr_decompose
 from .errors import EqkitError, InvalidAlpha, InvalidAngle, InvalidTolerance, IoError, NotEquiangular
 from .factor import alpha_real_root_bound, sdst_factor
 from .frames import FrameSet, is_etf, simplex_frame, welch_alpha
+from .gram import gram_matrix
 from .io import read_matrix, write_matrix
 from .kernel import generic_inverse, spectral_norm, sym_eig
 from .spectral import benchmark_inverse, fast_inverse, fit_exponent
@@ -182,8 +183,8 @@ def cmd_dea(args) -> int:
     write_matrix(paths["S"], out.mat)
     S = read_matrix(paths["S"])
     n = S.shape[0]
-    G = (1.0 - alpha) * np.eye(n) + alpha * np.ones((n, n))
-    c = math.sqrt(1.0 + (n - 1) * alpha)
+    p, c = row_sum_params(n, alpha)
+    G = gram_matrix(p)[:n, :n]  # p.n is 2 when S is 1 x 1
     checks = {
         "columns_gram": _check(spectral_norm(S.T @ S - G), args.tol * n),
         "rows_gram": _check(spectral_norm(S @ S.T - G), args.tol * n),

@@ -19,7 +19,7 @@ import numpy as np
 
 from .ea import certify_equiangular, sr_decompose
 from .errors import OutOfRange, RankDeficient, Singular
-from .gram import GramParams, gram_principal_sqrt
+from .gram import GramParams, gram_eigenvalues, gram_principal_sqrt
 from .kernel import as_matrix, require_square, spectral_norm
 
 # Below this, the row-sum vector already points along e and the reflection
@@ -33,6 +33,18 @@ class DoublyEquiangular:
     alpha: float
 
 
+def row_sum_params(n: int, alpha: float) -> tuple[GramParams, float]:
+    """Gram parameters and the row and column sum of an n x n doubly equiangular matrix.
+
+    The sum is sqrt(1 + (n-1) alpha), the root of G_alpha's simple eigenvalue.
+    One vector has no pairwise cosine, so ``GramParams`` (n >= 2) does not
+    describe n = 1: there alpha is range-checked as for n = 2, whose G_alpha
+    has [[1]] as its leading block, and the sum is 1.
+    """
+    p = GramParams(max(n, 2), alpha)
+    return p, (math.sqrt(gram_eigenvalues(p)[1]) if n > 1 else 1.0)
+
+
 def dea(A, alpha: float) -> DoublyEquiangular:
     """Build a doubly equiangular matrix from the columns of A.
 
@@ -42,12 +54,11 @@ def dea(A, alpha: float) -> DoublyEquiangular:
     """
     A = require_square(as_matrix(A))
     n = A.shape[0]
-    GramParams(max(n, 2), alpha)  # range check; n clamp keeps n=1 harmless
+    _, c = row_sum_params(n, alpha)
     try:
         S = sr_decompose(A, math.acos(alpha)).S.mat
     except RankDeficient as exc:
         raise Singular(str(exc)) from exc
-    c = math.sqrt(1.0 + (n - 1) * alpha)
     u = S.sum(axis=1) - c
     nu = float(u @ u)
     if math.sqrt(nu) <= SKIP_REFLECTION_TOL * math.sqrt(n):

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .ea import EquiangularMatrix, sr_decompose, triangular_equiangular
 from .errors import (
@@ -292,7 +291,7 @@ def schur_equiangular(A, alpha: float) -> tuple[EquiangularMatrix, np.ndarray]:
     Qs, Ts = real_schur(A)
     dec = sr_decompose(Qs, math.acos(alpha))
     R = dec.R
-    T = scipy.linalg.solve_triangular(R, (R @ Ts).T, trans="T", lower=False).T
+    T = np.linalg.solve(R.T, (R @ Ts).T).T  # R Ts R^-1
     n = A.shape[0]
     sub_tol = 1e-11 * max(1.0, float(np.abs(Ts).max()))
     keep = np.triu(np.ones((n, n), dtype=bool))

@@ -1,8 +1,10 @@
 """Dense numerical kernels shared by the rest of the package.
 
 QR, symmetric eigendecomposition, real Schur form and polynomial root
-finding are delegated to LAPACK (via numpy/scipy); this module pins down
-the conventions the rest of the code relies on: nonnegative R diagonal,
+finding are delegated to LAPACK, which comes through numpy; only
+``real_schur`` needs SciPy, and imports it on first use, so importing the
+package or running the CLI never loads SciPy.  This module pins down the
+conventions the rest of the code relies on: nonnegative R diagonal,
 ascending eigenvalues, rank and root-snapping tolerances.  ``spectral_norm``
 is the one matrix 2-norm the package and the CLI use.
 
@@ -14,7 +16,6 @@ and it can tally the scalar arithmetic it performs via :class:`OpCounter`.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegreeZero,
@@ -116,6 +117,8 @@ def sym_eig(A):
 
 def real_schur(A):
     """Real Schur form A = Q T Q^T with T quasi-upper-triangular."""
+    import scipy.linalg  # the only SciPy use; deferred to keep it off import
+
     A = require_square(as_matrix(A))
     try:
         T, Q = scipy.linalg.schur(A, output="real")

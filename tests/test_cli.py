@@ -305,6 +305,17 @@ def test_dea_then_check_round_trip(tmp_path, hfile, capsys):
     assert chk["doubly_equiangular_alpha"] == pytest.approx(0.25, abs=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [-0.9, 0.5])
+def test_dea_one_by_one(tmp_path, capsys, alpha):
+    p = tmp_path / "one.mtx"
+    write_matrix(p, [[-2.5]])
+    code, rep, _ = run_cli(capsys, "dea", p, "--alpha", alpha, "--out", f"{tmp_path}/")
+    assert code == 0
+    assert {k: v["pass"] for k, v in rep["checks"].items()} == dict.fromkeys(
+        ["columns_gram", "rows_gram", "row_sums", "col_sums"], True)
+    assert all(v["value"] == 0.0 for v in rep["checks"].values())
+
+
 def test_check_orthonormal_is_etf(tmp_path, capsys):
     p = tmp_path / "q.csv"
     write_matrix(p, np.eye(3))

@@ -11,6 +11,7 @@ from eqkit.doubly import (
     certify_doubly,
     dea,
     dem_product_params,
+    row_sum_params,
 )
 from eqkit.ea import random_equiangular, sr_decompose
 from eqkit.errors import InvalidAlpha, NotSquare, Singular
@@ -189,3 +190,30 @@ def test_random_equiangular_upgrade_path(rng):
     S = random_equiangular(6, 0.2, rng=rng)
     out = dea(S.mat, 0.2)
     assert certify_doubly(out, tol=1e-9) == pytest.approx(0.2, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, alpha", [(2, 0.3), (5, -0.2), (9, 0.7)])
+def test_row_sum_params_use_the_gram_closed_form(n, alpha):
+    p, c = row_sum_params(n, alpha)
+    assert p == GramParams(n, alpha)
+    assert c == math.sqrt(1.0 + (n - 1) * alpha)
+    M = dea(np.random.default_rng(n).standard_normal((n, n)), alpha).mat
+    assert np.abs(M.sum(axis=0) - c).max() <= 1e-12
+    assert np.abs(M.T @ M - gram_matrix(p)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("a", [-2.5, 0.75])
+@pytest.mark.parametrize("alpha", [-0.9, 0.0, 0.5])
+def test_one_by_one_input(a, alpha):
+    # one unit vector: G_alpha is [[1]] and the row sum is 1 at every alpha
+    p, c = row_sum_params(1, alpha)
+    assert c == 1.0 and gram_matrix(p)[:1, :1].tolist() == [[1.0]]
+    assert dea(np.array([[a]]), alpha).mat.tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("alpha", [1.0, -1.0, float("nan")])
+def test_one_by_one_alpha_is_range_checked(alpha):
+    with pytest.raises(InvalidAlpha):
+        row_sum_params(1, alpha)
+    with pytest.raises(InvalidAlpha):
+        dea(np.array([[2.0]]), alpha)
