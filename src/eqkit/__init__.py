@@ -90,6 +90,7 @@ from .gram import (
 from .kernel import (
     OpCounter,
     generic_inverse,
+    norm2_at_most,
     poly_roots,
     qr,
     real_schur,

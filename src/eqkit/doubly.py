@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ea import certify_equiangular, sr_decompose
+from .ea import _gram_cosine, _sr_factors
+from .ea import certify_equiangular, sr_decompose  # noqa: F401  perfbench/spans.py traces eqkit.doubly.*
 from .errors import OutOfRange, RankDeficient, Singular
 from .gram import GramParams, gram_eigenvalues, gram_principal_sqrt
-from .kernel import as_matrix, require_square, spectral_norm
+from .kernel import as_matrix, norm2_at_most, require_square
 
 # Below this, the row-sum vector already points along e and the reflection
 # is skipped.
@@ -56,7 +57,7 @@ def dea(A, alpha: float) -> DoublyEquiangular:
     n = A.shape[0]
     _, c = row_sum_params(n, alpha)
     try:
-        S = sr_decompose(A, math.acos(alpha)).S.mat
+        S = _sr_factors(A, math.acos(alpha))[0].mat
     except RankDeficient as exc:
         raise Singular(str(exc)) from exc
     u = S.sum(axis=1) - c
@@ -72,12 +73,17 @@ def certify_doubly(M, tol: float = 1e-8):
 
     Both the columns and the rows must certify as equiangular at matching
     cosines, e must be an eigenvector with eigenvalue sqrt(1 + (n-1) alpha),
-    and M must be normal (within ``tol``).
+    and M must be normal: ||M M^T - M^T M||_2 <= ``tol``.  Each Gram product
+    is formed once and serves both its certificate and the normality test.
     """
     M = require_square(as_matrix(getattr(M, "mat", M)))
     n = M.shape[0]
-    a_cols = certify_equiangular(M, tol)
-    a_rows = certify_equiangular(M.T, tol)
+    if n == 0:
+        return None
+    G_cols = M.T @ M
+    G_rows = M @ M.T
+    a_cols = _gram_cosine(G_cols, tol)
+    a_rows = _gram_cosine(G_rows, tol)
     if a_cols is None or a_rows is None or abs(a_cols - a_rows) > tol:
         return None
     alpha = 0.5 * (a_cols + a_rows)
@@ -89,7 +95,8 @@ def certify_doubly(M, tol: float = 1e-8):
     col_sums = M.sum(axis=0)
     if float(np.max(np.abs(row_sums - c))) > tol or float(np.max(np.abs(col_sums - c))) > tol:
         return None
-    if spectral_norm(M @ M.T - M.T @ M) > tol:
+    G_rows -= G_cols
+    if not norm2_at_most(G_rows, tol):
         return None
     return float(alpha)
 

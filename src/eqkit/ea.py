@@ -119,6 +119,14 @@ def sr_decompose(A, theta: float) -> SRDecomposition:
     SRDecomposition with diag(R) > 0 and the recomputed residual ||A - S R||_2.
     """
     A = as_matrix(A)
+    S, R = _sr_factors(A, theta)
+    E = S.mat @ R
+    E -= A
+    return SRDecomposition(S, R, spectral_norm(E))
+
+
+def _sr_factors(A, theta: float) -> tuple[EquiangularMatrix, np.ndarray]:
+    """The factors S and R of ``sr_decompose`` for an ``as_matrix`` A, without the residual."""
     m = A.shape[1]
     alpha = math.cos(theta)
     if abs(alpha) < 1e-15:
@@ -147,11 +155,7 @@ def sr_decompose(A, theta: float) -> SRDecomposition:
         row -= o[i] * below
         row /= d[i]
         below += row
-
-    E = S @ R
-    E -= A
-    residual = spectral_norm(E)
-    return SRDecomposition(EquiangularMatrix(S, alpha), R, residual)
+    return EquiangularMatrix(S, alpha), R
 
 
 def triangular_equiangular(p: GramParams) -> EquiangularMatrix:
@@ -176,17 +180,22 @@ def certify_equiangular(M, tol: float = 1e-8):
     within ``tol`` of their mean.  A single column certifies with alpha 0.
     """
     M = as_matrix(getattr(M, "mat", M))
-    m = M.shape[1]
-    if m == 0:
+    if M.shape[1] == 0:
         return None
-    G = M.T @ M
+    return _gram_cosine(M.T @ M, tol)
+
+
+def _gram_cosine(G: np.ndarray, tol: float):
+    """The common cosine certified by the m x m Gram matrix G (m >= 1), or None."""
+    m = G.shape[0]
     if float(np.max(np.abs(np.diag(G) - 1.0))) > tol:
         return None
     if m == 1:
         return 0.0
     off = G[~np.eye(m, dtype=bool)]
     mean = float(off.mean())
-    if float(np.max(np.abs(off - mean))) > tol:
+    off -= mean
+    if float(np.max(np.abs(off, out=off))) > tol:
         return None
     return mean
 

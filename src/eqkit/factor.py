@@ -38,6 +38,7 @@ from .gram import GramParams, dual_params, gram_principal_sqrt
 from .kernel import (
     ROOT_SNAP_RTOL,
     as_matrix,
+    norm2_at_most,
     poly_roots,
     real_schur,
     require_square,
@@ -335,7 +336,7 @@ def equiangular_eigenvectors(A, tol: float = 1e-8):
         # Single eigenvalue: only A = c I qualifies, and then any basis at
         # any cosine works; alpha = 0.5 by convention.
         lam = float(w.mean())
-        if spectral_norm(A - lam * np.eye(n)) <= tol * scale:
+        if norm2_at_most(A - lam * np.eye(n), tol * scale):
             return 0.5, triangular_equiangular(GramParams(n, 0.5))
         return None
 
@@ -364,6 +365,6 @@ def equiangular_eigenvectors(A, tol: float = 1e-8):
             continue
         alpha = rho / root
         shat = triangular_equiangular(GramParams(n, alpha)).mat
-        if spectral_norm(T @ shat - shat * w[None, :]) <= 1e-8 * t_norm:
+        if norm2_at_most(T @ shat - shat * w[None, :], 1e-8 * t_norm):
             return float(alpha), EquiangularMatrix(Q @ shat, float(alpha))
     return None

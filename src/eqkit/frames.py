@@ -15,7 +15,7 @@ import numpy as np
 
 from .ea import EquiangularMatrix
 from .errors import InvalidShape, NotSpanning
-from .kernel import as_matrix, spectral_norm, sym_eig
+from .kernel import as_matrix, norm2_at_most, sym_eig
 
 
 @dataclass
@@ -84,22 +84,28 @@ def is_etf(F: FrameSet, tol: float = 1e-8) -> EtfReport:
     """Check unit norms, constant |cosine| at the Welch bound, and tightness."""
     V = _vectors_of(F)
     n, m = V.shape
+    if n == 0 or m == 0:
+        raise InvalidShape(f"a frame needs at least one vector of dimension >= 1, got shape {V.shape}")
     failed = []
     G = V.T @ V
     if float(np.max(np.abs(np.diag(G) - 1.0))) > tol:
         failed.append("unit_norms")
+    off = np.abs(G[~np.eye(m, dtype=bool)])
+    del G  # freed before the frame operator W is formed
     if m > 1:
-        off = np.abs(G[~np.eye(m, dtype=bool)])
         coherence = float(off.mean())
-        if float(np.max(np.abs(off - coherence))) > tol:
+        off -= coherence
+        if float(np.max(np.abs(off, out=off))) > tol:
             failed.append("constant_coherence")
         elif m > n and abs(coherence - welch_alpha(n, m)) > tol:
             failed.append("welch_bound")
     else:
         coherence = 0.0
+    del off
     W = V @ V.T
     frame_constant = float(np.trace(W)) / n
-    if spectral_norm(W - frame_constant * np.eye(n)) > tol * max(1.0, frame_constant):
+    W[np.diag_indices(n)] -= frame_constant
+    if not norm2_at_most(W, tol * max(1.0, frame_constant)):
         failed.append("tight")
     return EtfReport(ok=not failed, failed=failed, coherence=coherence, frame_constant=frame_constant)
 

@@ -86,13 +86,27 @@ def _parse_csv(text: str, path: str) -> np.ndarray:
     return m
 
 
+def _mtx_dims(line: str) -> tuple[int, int]:
+    """(rows, cols) from a size line; ValueError unless it is two nonnegative integers."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise ValueError("expected 'rows cols'")
+    bad = ValueError(f"size line {line.strip()!r} is not two nonnegative integers")
+    try:
+        dims = (int(parts[0]), int(parts[1]))
+    except ValueError:
+        raise bad from None
+    if min(dims) < 0:
+        raise bad
+    return dims
+
+
 def _bulk_mtx(lines: list[str]):
     """(values, dims) when line 2 is the size line and no later line is a comment, else None."""
-    size = lines[1].split() if len(lines) > 1 else ()
-    if len(size) != 2:
+    if len(lines) < 2:
         return None
     try:
-        dims = (int(size[0]), int(size[1]))
+        dims = _mtx_dims(lines[1])
         return list(map(float, " ".join(lines[2:]).split())), dims
     except ValueError:
         return None
@@ -105,14 +119,11 @@ def _loop_mtx(lines: list[str], path: str):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
-        if dims is None:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'rows cols'")
-            dims = (int(parts[0]), int(parts[1]))
-            continue
         try:
-            values.extend(float(tok) for tok in line.split())
+            if dims is None:
+                dims = _mtx_dims(line)
+            else:
+                values.extend(float(tok) for tok in line.split())
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
     if dims is None:

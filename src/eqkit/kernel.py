@@ -6,7 +6,10 @@ finding are delegated to LAPACK, which comes through numpy; only
 package or running the CLI never loads SciPy.  This module pins down the
 conventions the rest of the code relies on: nonnegative R diagonal,
 ascending eigenvalues, rank and root-snapping tolerances.  ``spectral_norm``
-is the one matrix 2-norm the package and the CLI use.
+is the one matrix 2-norm value the package and the CLI use, and
+``norm2_at_most`` the one 2-norm test: it decides ``||X||_2 <= bound`` from
+the Frobenius norm and the column norms when they settle it, and calls
+``spectral_norm`` only when they do not.
 
 ``generic_inverse`` is deliberately a hand-written LU inverse: it serves as
 the cubic-cost baseline against which the structured inverse is benchmarked,
@@ -35,6 +38,11 @@ RANK_RTOL = 1e-10
 ROOT_SNAP_RTOL = 1e-8
 
 SYM_RTOL = 1e-8
+
+# Relative margin on both sides of the bracket max_j ||X e_j|| <= ||X||_2 <=
+# ||X||_F in ``norm2_at_most``: the computed bracket ends are rounded, so a
+# bound this close to either end is left to the exact 2-norm.
+NORM2_BRACKET_RTOL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -164,6 +172,26 @@ def spectral_norm(A) -> float:
     A = A / scale
     w = np.linalg.eigvalsh(A.T @ A)
     return scale * float(np.sqrt(max(w[-1], 0.0)))
+
+
+def norm2_at_most(X, bound: float) -> bool:
+    """``spectral_norm(X) <= bound``, decided without an eigensolve when possible.
+
+    The largest column norm and the Frobenius norm bracket the 2-norm.  When
+    ``bound`` lies outside the bracket, widened by ``NORM2_BRACKET_RTOL``, the
+    answer costs one pass over X; otherwise it comes from ``spectral_norm``.
+    A Frobenius norm outside (1e-100, 1e100) may have under- or overflowed in
+    its squares, so it also goes to ``spectral_norm``, which rescales X.
+    """
+    X = as_matrix(X)
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(X))
+    if 1e-100 < fro < 1e100:
+        if fro * (1.0 + NORM2_BRACKET_RTOL) <= bound:
+            return True
+        if float(np.linalg.norm(X, axis=0).max()) * (1.0 - NORM2_BRACKET_RTOL) > bound:
+            return False
+    return spectral_norm(X) <= bound
 
 
 def generic_inverse(A, ops: OpCounter | None = None) -> np.ndarray:

@@ -114,6 +114,26 @@ def test_non_finite_values_are_parse_errors(tmp_path, name, text):
         read_matrix(p)
 
 
+@pytest.mark.parametrize("size", ["2 x", "-1 -1", "1.5 2"], ids=["letter", "negative", "fraction"])
+def test_bad_mtx_size_line_exits_11(tmp_path, capsys, size):
+    # "-1 -1" with one value passes the count check, so it must be caught before the reshape.
+    p = tmp_path / "bad.mtx"
+    p.write_text(f"%%MatrixMarket matrix array real general\n{size}\n1\n")
+    code, rep, err = run_cli(capsys, "check", p)
+    assert code == ParseError.exit_code == 11
+    assert rep is None
+    assert err == f"eqkit check: {p}:2: size line '{size}' is not two nonnegative integers\n"
+
+
+@pytest.mark.parametrize("size", ["3 0", "0 0"])
+def test_check_of_an_empty_mtx_exits_27(tmp_path, capsys, size):
+    p = tmp_path / "empty.mtx"
+    p.write_text(f"%%MatrixMarket matrix array real general\n{size}\n")
+    code, rep, err = run_cli(capsys, "check", p)
+    assert (code, rep) == (27, None)
+    assert err.startswith("eqkit check: a frame needs at least one vector") and err.count("\n") == 1
+
+
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(IoError):
         read_matrix(tmp_path / "nope.csv")
@@ -362,6 +382,7 @@ def test_inverse_bench(tmp_path, capsys):
     lines = (tmp_path / "bench.csv").read_text().splitlines()
     assert lines[0] == "n,t_fast,t_generic"
     assert len(lines) == 5  # header + one row per size
+    assert all(r["t_lapack"] > 0 for r in rep["bench"])  # np.linalg.inv, the dense baseline
 
 
 def test_console_script(tmp_path):

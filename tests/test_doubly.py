@@ -127,6 +127,7 @@ def test_certify_rejections(rng):
     S = sr_decompose(rng.standard_normal((4, 4)), math.acos(0.3)).S.mat
     assert certify_doubly(S) is None
     assert certify_doubly(np.array([[1.0, 2.0], [0.0, 1.0]])) is None
+    assert certify_doubly(np.zeros((0, 0))) is None
     with pytest.raises(NotSquare):
         certify_doubly(np.ones((2, 3)))
 

@@ -130,6 +130,12 @@ def test_etf_rejects_square_equiangular(rng):
     assert rep.failed == ["tight"]
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 0), (0, 3)])
+def test_etf_rejects_an_empty_frame(shape):
+    with pytest.raises(InvalidShape, match="at least one vector"):
+        is_etf(FrameSet(np.zeros(shape)))
+
+
 def test_etf_failure_reporting():
     rep = is_etf(FrameSet(2.0 * np.eye(3)))
     assert "unit_norms" in rep.failed

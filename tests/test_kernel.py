@@ -5,6 +5,7 @@ from eqkit.errors import DegreeZero, NotSymmetric, RankDeficient, Singular
 from eqkit.kernel import (
     OpCounter,
     generic_inverse,
+    norm2_at_most,
     poly_roots,
     qr,
     real_schur,
@@ -140,6 +141,65 @@ def test_spectral_norm_tiny_and_huge(rng, scale):
     A = rng.standard_normal((6, 4)) * scale
     assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-10, abs=0.0)
     assert spectral_norm(np.zeros((3, 2))) == 0.0
+
+
+def _norm2_sweep_inputs(rng):
+    G = rng.standard_normal((7, 7))
+    return {
+        "square": G,
+        "tall": rng.standard_normal((9, 4)),
+        "wide": rng.standard_normal((4, 9)),
+        "symmetric": G + G.T,
+        "rank one": np.outer(rng.standard_normal(6), rng.standard_normal(5)),
+        "rank one square": np.outer(rng.standard_normal(5), rng.standard_normal(5)),
+        "single column": rng.standard_normal((6, 1)),
+        "1x1": rng.standard_normal((1, 1)),
+        "orthogonal": np.linalg.qr(G)[0],
+        "zero": np.zeros((4, 3)),
+    }
+
+
+def test_norm2_at_most_equals_the_exact_test(rng):
+    """The bracket never changes the answer of ``spectral_norm(X) <= bound``,
+    also at bounds on the 2-norm itself, on either end of the bracket and
+    1e-9 away from the 2-norm."""
+    checked = 0
+    for seed in range(10):
+        sweep = np.random.default_rng([20260823, seed])
+        for name, X0 in _norm2_sweep_inputs(sweep).items():
+            for scale in 10.0 ** np.arange(-14, 4):
+                X = X0 * scale
+                s = spectral_norm(X)
+                fro = float(np.linalg.norm(X))
+                col = float(np.linalg.norm(X, axis=0).max())
+                for bound in (s * (1 - 1e-9), s * (1 + 1e-9), s, fro, col, 0.0, -1.0,
+                              fro * (1 + 1e-12), col * (1 - 1e-12), np.nextafter(s, 0.0)):
+                    assert norm2_at_most(X, bound) == (s <= bound), (seed, name, scale, bound)
+                    checked += 1
+    assert checked == 10 * 10 * 18 * 10
+
+
+def test_norm2_at_most_needs_no_eigensolve_outside_the_bracket(rng, monkeypatch):
+    X = rng.standard_normal((30, 20))
+    fro = float(np.linalg.norm(X))
+    col = float(np.linalg.norm(X, axis=0).max())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert norm2_at_most(X, 1.01 * fro)
+    assert not norm2_at_most(X, 0.99 * col)
+    with pytest.raises(AssertionError, match="eigensolve"):
+        norm2_at_most(X, 0.5 * (fro + col))  # inside the bracket
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_norm2_at_most_tiny_and_huge(rng, scale):
+    X = rng.standard_normal((6, 4)) * scale
+    s = spectral_norm(X)
+    for bound in (s, s * (1 - 1e-9), s * (1 + 1e-9), 0.0):
+        assert norm2_at_most(X, bound) == (s <= bound)
 
 
 class TestGenericInverse:

@@ -162,7 +162,7 @@ def test_benchmark_records_and_exponents():
     recs = benchmark_inverse(sizes=(16, 32, 64), repeats=2, seed=5)
     assert [r["n"] for r in recs] == [16, 32, 64]
     for r in recs:
-        assert r["t_fast"] > 0 and r["t_generic"] > 0
+        assert r["t_fast"] > 0 and r["t_generic"] > 0 and r["t_lapack"] > 0
     ns = [r["n"] for r in recs]
     assert fit_exponent(ns, [r["ops_fast"] for r in recs]) <= 2.2
     assert fit_exponent(ns, [r["ops_generic"] for r in recs]) >= 2.7
