@@ -37,11 +37,17 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _finite(value: float) -> float | None:
+    """``value`` as a float, or None (JSON null) when it is not finite."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _check(value: float, threshold: float) -> dict:
-    """One check entry; a non-finite value is reported as null and fails."""
-    value, threshold = float(value), float(threshold)
-    finite = math.isfinite(value)
-    return {"value": value if finite else None, "threshold": threshold, "pass": finite and value <= threshold}
+    """One check entry; a non-finite value is reported as null and fails, and an
+    overflowed threshold is reported as null."""
+    value = _finite(value)
+    return {"value": value, "threshold": _finite(threshold), "pass": value is not None and value <= threshold}
 
 
 def _report(command: str, args, checks: dict, outputs: dict, extra: dict | None = None) -> dict:
@@ -224,8 +230,8 @@ def cmd_check(args) -> int:
     rep = _report("check", args, {}, {}, {
         "equiangular_alpha": cert_cols,
         "doubly_equiangular_alpha": cert_dbl,
-        "etf": {"ok": etf.ok, "failed": etf.failed, "coherence": etf.coherence,
-                "frame_constant": etf.frame_constant},
+        "etf": {"ok": etf.ok, "failed": etf.failed, "coherence": _finite(etf.coherence),
+                "frame_constant": _finite(etf.frame_constant)},
     })
     rep["passed"] = True
     return _emit(rep)

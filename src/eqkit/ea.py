@@ -19,13 +19,16 @@ by one vector a takes the unit direction q of a orthogonal to span(S_k):
     s_{k+1} = d_{k+1} q + alpha / (1 + (k-1) alpha) * (s_1 + ... + s_k).
 
 Factoring A = S R with S equiangular and R upper triangular with positive
-diagonal is the resulting analogue of QR.
+diagonal is the resulting analogue of QR.  ``sr_decompose`` forms the
+difference S R - A when it factors, but takes that difference's 2-norm only
+when ``SRDecomposition.residual`` is first read; callers that only want the
+factors never pay for the eigensolve behind it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,9 +51,25 @@ class EquiangularMatrix:
 
 @dataclass
 class SRDecomposition:
+    """Factors S and R of A = S R, with the residual ||A - S R||_2 taken on first read.
+
+    ``_E`` is S R - A, formed when A is factored, so the residual does not
+    change when the caller later edits A, ``S.mat`` or ``R`` in place.  The
+    first read of ``residual`` takes its 2-norm, stores the float and frees
+    ``_E``.
+    """
+
     S: EquiangularMatrix
     R: np.ndarray
-    residual: float
+    _E: np.ndarray | None = field(repr=False)
+    _residual: float | None = field(default=None, init=False, repr=False)
+
+    @property
+    def residual(self) -> float:
+        if self._E is not None:
+            self._residual = spectral_norm(self._E)
+            self._E = None
+        return self._residual
 
 
 def _cholesky_entries(k, alpha: float):
@@ -116,13 +135,14 @@ def sr_decompose(A, theta: float) -> SRDecomposition:
 
     Returns
     -------
-    SRDecomposition with diag(R) > 0 and the recomputed residual ||A - S R||_2.
+    SRDecomposition with diag(R) > 0; its ``residual`` ||A - S R||_2 is
+    taken from this call's S R - A when first read.
     """
     A = as_matrix(A)
     S, R = _sr_factors(A, theta)
     E = S.mat @ R
     E -= A
-    return SRDecomposition(S, R, spectral_norm(E))
+    return SRDecomposition(S, R, E)
 
 
 def _sr_factors(A, theta: float) -> tuple[EquiangularMatrix, np.ndarray]:

@@ -32,6 +32,7 @@ from .errors import (
     InvalidAlpha,
     MultiplicityUnsupported,
     NonRealRoots,
+    OutOfRange,
     WrongSpectrum,
 )
 from .gram import GramParams, dual_params, gram_principal_sqrt
@@ -100,15 +101,45 @@ def nonreal_root_certificate(poly: PolySpec) -> int:
     return int(np.count_nonzero(roots.imag != 0.0))
 
 
+def _poly_scale(lambdas) -> tuple[np.ndarray, float]:
+    """``lambdas / s`` and s, a power of two that keeps the polynomial finite.
+
+    s is 1 unless some e_k(lambdas) overflows; then it is the power of two
+    just above max |lambda|.  c_k is homogeneous of degree k in lambda, so the
+    roots of the scaled polynomial are the roots d divided by s exactly, and
+    whether they are all real does not depend on s.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    n = lam.size
+    e = math.frexp(float(np.abs(lam).max()))[1] if n else 0
+    # e_k < C(n, k) 2^(e k) <= 2^(n (1 + max(e, 0))), so most spectra need no look at e_k.
+    if n * (1 + max(e, 0)) < 1000:
+        return lam, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(elementary_symmetric(lam)).all():
+            return lam, 1.0
+    s = math.ldexp(1.0, e)
+    return lam / s, s
+
+
+def _roots(lambdas, alpha: float) -> np.ndarray:
+    """Snapped roots of ``build_poly(lambdas, alpha)``; OutOfRange if a coefficient overflows."""
+    try:
+        return poly_roots(build_poly(lambdas, alpha).coeffs)
+    except ValueError as exc:  # poly_roots refuses NaN and Inf coefficients
+        raise OutOfRange(f"factorization polynomial overflows float64 at alpha={alpha!r}") from exc
+
+
 def alpha_real_root_bound(lambdas, tol: float = 1e-6) -> float:
     """Largest cosine for which the factorization polynomial stays all-real.
 
     Bisects the all-real predicate over (1e-6, 1 - 1e-6); returns 0.0 when
     even the smallest tested cosine already produces non-real roots.
     """
+    lambdas, _ = _poly_scale(lambdas)
 
     def all_real(a: float) -> bool:
-        return nonreal_root_certificate(build_poly(lambdas, a)) == 0
+        return not np.count_nonzero(_roots(lambdas, a).imag)
 
     lo, hi = 1e-6, 1.0 - 1e-6
     if not all_real(lo):
@@ -249,13 +280,13 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
     lam_nz = nz
 
     pm = GramParams(m, alpha)
-    poly = build_poly(lam_nz, alpha)
-    roots = poly_roots(poly.coeffs)
+    lam_poly, s = _poly_scale(lam_nz)
+    roots = _roots(lam_poly, alpha)
     if np.any(roots.imag != 0.0):
         raise NonRealRoots(
             f"{int(np.count_nonzero(roots.imag != 0))} non-real roots at alpha={alpha!r}"
         )
-    d = np.sort(roots.real)
+    d = np.sort(roots.real) * s
 
     _, sbar = gram_principal_sqrt(pm)
     M = sbar @ np.diag(d) @ sbar

@@ -104,8 +104,13 @@ def is_etf(F: FrameSet, tol: float = 1e-8) -> EtfReport:
     del off
     W = V @ V.T
     frame_constant = float(np.trace(W)) / n
-    W[np.diag_indices(n)] -= frame_constant
-    if not norm2_at_most(W, tol * max(1.0, frame_constant)):
+    # |W_ij| <= (W_ii + W_jj) / 2, so a finite trace means a finite W; an
+    # overflowed frame operator is not tight.
+    tight = math.isfinite(frame_constant)
+    if tight:
+        W[np.diag_indices(n)] -= frame_constant
+        tight = norm2_at_most(W, tol * max(1.0, frame_constant))
+    if not tight:
         failed.append("tight")
     return EtfReport(ok=not failed, failed=failed, coherence=coherence, frame_constant=frame_constant)
 

@@ -11,19 +11,25 @@ reproduces the float64 entries exactly.
 
 Both readers first try a bulk path: the data section is split once and
 converted with Python's ``float``, so it accepts the same values as the
-line loop.  Any irregularity (a comment or blank line among the data, a
-ragged row, a bad token) sends the text through the line loop, which
-reports the failing line as ``path:lineno: ...``.  The writer formats the
+line loop.  The ``.mtx`` bulk path cuts only the header and size lines off
+the text and never splits the data into lines.  Any irregularity (a
+comment or blank line among the data, a ragged row, a bad token) sends the
+text through the line loop, which reports the failing line as
+``path:lineno: ...``.  A file that is not UTF-8 is a ``ParseError``.  The writer formats the
 whole matrix with one ``%``-format of a ``%.17g`` template.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
 from .errors import IoError, ParseError
+
+# The line boundaries of ``str.splitlines``.
+_LINE_END = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 def _csv_header(line: str):
@@ -101,13 +107,20 @@ def _mtx_dims(line: str) -> tuple[int, int]:
     return dims
 
 
-def _bulk_mtx(lines: list[str]):
-    """(values, dims) when line 2 is the size line and no later line is a comment, else None."""
-    if len(lines) < 2:
+def _bulk_mtx(text: str):
+    """(values, dims) when line 2 is the size line and no later line is a comment, else None.
+
+    Lines 1 and 2 are cut off at the boundaries ``str.splitlines`` uses, and
+    ``str.split`` treats each of those as whitespace, so the rest splits into
+    the same tokens as its lines would, without a string per line.
+    """
+    head = _LINE_END.search(text)
+    size = head and _LINE_END.search(text, head.end())
+    if not size:
         return None
     try:
-        dims = _mtx_dims(lines[1])
-        return list(map(float, " ".join(lines[2:]).split())), dims
+        dims = _mtx_dims(text[head.end():size.start()])
+        return list(map(float, text[size.end():].split())), dims
     except ValueError:
         return None
 
@@ -132,15 +145,15 @@ def _loop_mtx(lines: list[str], path: str):
 
 
 def _parse_matrix_market(text: str, path: str) -> np.ndarray:
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise ParseError(f"{path}: empty file")
-    fields = lines[0].lower().split()
+    head = _LINE_END.search(text)
+    fields = text[: head.start() if head else len(text)].lower().split()
     if len(fields) < 4 or fields[0] != "%%matrixmarket" or fields[1] != "matrix":
         raise ParseError(f"{path}: not a Matrix Market file")
     if fields[2] != "array" or fields[3] != "real":
         raise ParseError(f"{path}: only 'array real' Matrix Market files are supported")
-    values, (r, c) = _bulk_mtx(lines) or _loop_mtx(lines, path)
+    values, (r, c) = _bulk_mtx(text) or _loop_mtx(text.splitlines(), path)
     if len(values) != r * c:
         raise ParseError(f"{path}: expected {r * c} values, found {len(values)}")
     # Matrix Market array data runs down the columns.
@@ -153,6 +166,8 @@ def read_matrix(path: str) -> np.ndarray:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     if os.path.splitext(path)[1].lower() == ".mtx":
         M = _parse_matrix_market(text, path)
     else:

@@ -18,6 +18,8 @@ and it can tally the scalar arithmetic it performs via :class:`OpCounter`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -32,6 +34,10 @@ from .errors import (
 # Column j is declared dependent when its residual against the preceding
 # columns falls below this fraction of its own norm.
 RANK_RTOL = 1e-10
+# A norm computed from squares outside (SAFE_NORM_LOW, SAFE_NORM_HIGH) may have
+# lost them to under- or overflow; the routines that test one then rescale by
+# a power of two, which is exact.
+SAFE_NORM_LOW, SAFE_NORM_HIGH = 1e-100, 1e100
 
 # A root with |imag| <= ROOT_SNAP_RTOL * (1 + |real|) is collapsed onto the
 # real axis.
@@ -98,13 +104,20 @@ def qr(A):
         raise RankDeficient(f"{m} columns cannot be independent in dimension {n}")
     col_norms = np.linalg.norm(A, axis=0)
     Q, R = np.linalg.qr(A, mode="reduced")
-    d = np.diag(R).copy()
+    d = np.abs(np.diag(R))
     # |R[j,j]| is exactly the residual norm of column j against the span of
     # columns 0..j-1, so the rank test reads straight off the diagonal.
-    if np.any(np.abs(d) <= RANK_RTOL * col_norms):
-        j = int(np.argmax(np.abs(d) <= RANK_RTOL * col_norms))
+    if m and not (col_norms.min() > SAFE_NORM_LOW and col_norms.max() < SAFE_NORM_HIGH):
+        # The squares behind col_norms may have over- or underflowed: compare
+        # both sides after scaling each column by a power of two, exactly.
+        _, e = np.frexp(np.abs(A).max(axis=0))
+        col_norms = np.linalg.norm(np.ldexp(A, -e), axis=0)
+        d = np.ldexp(d, -e)
+    dependent = d <= RANK_RTOL * col_norms
+    if np.any(dependent):
+        j = int(np.argmax(dependent))
         raise RankDeficient(f"column {j} is dependent on the preceding columns")
-    signs = np.where(d < 0, -1.0, 1.0)
+    signs = np.where(np.diag(R) < 0, -1.0, 1.0)
     Q *= signs
     R *= signs[:, None]
     return Q, R
@@ -116,11 +129,22 @@ def sym_eig(A):
     Eigenvalues are returned ascending; Q has orthonormal columns.
     """
     A = require_square(as_matrix(A))
-    scale = max(1.0, float(np.linalg.norm(A)))
-    if np.linalg.norm(A - A.T) > SYM_RTOL * scale:
+    norm = float(np.linalg.norm(A))
+    s = 1.0
+    if norm >= SAFE_NORM_HIGH:
+        # Divided by a power of two s (max |A/s| in [1, 2)), A's norms and
+        # LAPACK's work stay finite; the symmetry test is relative for
+        # norm >= 1 both before and after, so it decides the same.
+        s = math.ldexp(1.0, math.frexp(float(np.abs(A).max()))[1] - 1)
+        A = A / s
+        norm = float(np.linalg.norm(A))
+    if np.linalg.norm(A - A.T) > SYM_RTOL * max(1.0, norm):
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    w, Q = np.linalg.eigh(0.5 * (A + A.T))
-    return Q, w
+    try:
+        w, Q = np.linalg.eigh(0.5 * (A + A.T))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    return Q, w * s
 
 
 def real_schur(A):
@@ -180,13 +204,14 @@ def norm2_at_most(X, bound: float) -> bool:
     The largest column norm and the Frobenius norm bracket the 2-norm.  When
     ``bound`` lies outside the bracket, widened by ``NORM2_BRACKET_RTOL``, the
     answer costs one pass over X; otherwise it comes from ``spectral_norm``.
-    A Frobenius norm outside (1e-100, 1e100) may have under- or overflowed in
-    its squares, so it also goes to ``spectral_norm``, which rescales X.
+    A Frobenius norm outside (``SAFE_NORM_LOW``, ``SAFE_NORM_HIGH``) may have
+    under- or overflowed in its squares, so it also goes to ``spectral_norm``,
+    which rescales X.
     """
     X = as_matrix(X)
     with np.errstate(over="ignore"):
         fro = float(np.linalg.norm(X))
-    if 1e-100 < fro < 1e100:
+    if SAFE_NORM_LOW < fro < SAFE_NORM_HIGH:
         if fro * (1.0 + NORM2_BRACKET_RTOL) <= bound:
             return True
         if float(np.linalg.norm(X, axis=0).max()) * (1.0 - NORM2_BRACKET_RTOL) > bound:

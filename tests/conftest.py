@@ -1,9 +1,22 @@
-"""Shared fixtures and the acceptance-summary reporting hook."""
+"""Shared fixtures, hypothesis profiles and the acceptance-summary reporting hook."""
 
 import sys
 
 import numpy as np
 import pytest
+
+try:
+    from hypothesis import settings
+except ImportError:  # tests/test_fuzz_cli.py skips itself
+    settings = None
+
+if settings is not None:
+    # The fuzz tests run a few dozen derandomized examples in tier-1; CI runs
+    # them again with ``--hypothesis-profile=ci``, which the hypothesis plugin
+    # loads after this module.  Neither profile keeps an example database.
+    settings.register_profile("tier1", max_examples=30, deadline=None, database=None, derandomize=True)
+    settings.register_profile("ci", max_examples=500, deadline=None, database=None)
+    settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -409,3 +409,75 @@ def test_console_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["command"] == "frame" and rep["passed"] is True
+
+
+# ---- inputs whose squares overflow, and files that are not UTF-8 -----------------
+
+
+def _strict(out):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(out, parse_constant=reject)
+
+
+@pytest.fixture
+def huge(tmp_path):
+    """diag(1e200, 1e200): finite, but its Gram products and spectrum powers overflow."""
+    p = tmp_path / "huge.csv"
+    write_matrix(p, np.diag([1e200, 1e200]))
+    return p
+
+
+@pytest.mark.parametrize("command", ["sr", "dea"])
+def test_huge_identity_factors(tmp_path, capsys, huge, command):
+    code = main([command, str(huge), "--alpha", "0.3", "--out", f"{tmp_path}/o_"])
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    assert _strict(captured.out)["passed"] is True
+
+
+def test_check_of_an_overflowing_matrix(capsys, huge):
+    code = main(["check", str(huge)])
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    rep = _strict(captured.out)
+    assert rep["equiangular_alpha"] is None and rep["doubly_equiangular_alpha"] is None
+    assert rep["etf"] == {"ok": False, "failed": ["unit_norms", "tight"], "coherence": 0.0,
+                          "frame_constant": None}
+
+
+def test_sdst_of_an_overflowing_spectrum(tmp_path, capsys, huge):
+    # 1e200 I: the polynomial of r I has non-real roots at every scale.
+    code, rep, err = run_cli(capsys, "sdst", huge, "--alpha", 0.3, "--out", f"{tmp_path}/o_")
+    assert (code, rep) == (16, None)
+    assert err == "eqkit sdst: 2 non-real roots at alpha=0.3\n"
+    code = main(["sdst", str(huge), "--find-alpha-bound"])
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    assert _strict(captured.out)["alpha_real_root_bound"] == 0.0
+    # A spectrum that factors still factors when scaled by 2**700.
+    p = tmp_path / "big.csv"
+    write_matrix(p, np.diag([1.0, 2.0, 3.0]) * 2.0**700)
+    code, rep, _ = run_cli(capsys, "sdst", p, "--alpha", 0.1, "--out", f"{tmp_path}/o_")
+    assert code == 0 and rep["passed"]
+
+
+def test_overflowed_threshold_is_null(tmp_path, capsys):
+    """Found by tests/test_fuzz_cli.py: tol * ||A|| overflowed and was printed as Infinity."""
+    p = tmp_path / "a.csv"
+    write_matrix(p, [[179769314.0]])
+    code = main(["sr", str(p), "--alpha", "0", "--tol", "1e300", "--out", f"{tmp_path}/o_"])
+    rep = _strict(capsys.readouterr().out)
+    assert code == 0
+    assert rep["checks"]["sr_residual"] == {"value": 0.0, "threshold": None, "pass": True}
+
+
+@pytest.mark.parametrize("command", ["sr", "check"])
+def test_non_utf8_input_is_typed(tmp_path, capsys, command):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("1,2\n3,4 # \xe9\n".encode("latin-1"))
+    args = [p, "--alpha", 0.5] if command == "sr" else [p]
+    code, rep, err = run_cli(capsys, command, *args)
+    assert (code, rep) == (ParseError.exit_code, None)
+    assert err.startswith(f"eqkit {command}: {p}: not UTF-8 text") and err.count("\n") == 1

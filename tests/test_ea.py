@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import eqkit.ea as ea
 from eqkit.ea import (
     EquiangularMatrix,
     certify_equiangular,
@@ -22,6 +23,7 @@ from eqkit.ea import (
 )
 from eqkit.errors import DegenerateAngle, InvalidAngle, RankDeficient
 from eqkit.gram import GramParams, gram_matrix, gram_principal_sqrt
+from eqkit.kernel import spectral_norm
 
 PRINT_TOL = 1.5e-4
 
@@ -263,6 +265,66 @@ def test_sr_near_unit_cosine_against_mpmath():
     # ||.||_2 <= sqrt(n) ||.||_1 for a 6 x 6 matrix
     assert float(residual) * math.sqrt(6) <= 1e-12 * np.linalg.norm(A, 2)
     assert float(s_err) <= 1e-12
+
+
+# --- the residual is taken on first read -----------------------------------
+
+
+def _eager_residual(A, alpha):
+    """The residual exactly as ``sr_decompose`` used to compute it, eagerly."""
+    S, R = ea._sr_factors(np.asarray(A, dtype=float), math.acos(alpha))
+    E = S.mat @ R
+    E -= A
+    return spectral_norm(E)
+
+
+RESIDUAL_CASES = [
+    ((20, 20), 0.5, 3),
+    ((60, 20), 0.1, 4),
+    ((20, 20), -0.05, 5),
+    ((6, 6), 0.9999, 66),  # the input of test_sr_near_unit_cosine_against_mpmath
+]
+
+
+@pytest.mark.parametrize("edit", [False, True])
+@pytest.mark.parametrize("shape, alpha, seed", RESIDUAL_CASES)
+def test_residual_is_bit_identical_to_the_eager_value(shape, alpha, seed, edit):
+    """Also when A, S and R are changed in place before the first read."""
+    A = np.random.default_rng(seed).standard_normal(shape)
+    want = _eager_residual(A, alpha)
+    dec = sr_decompose(A, math.acos(alpha))
+    if edit:
+        A *= 3.0
+        dec.S.mat[:] = 0.0
+        dec.R += 1.0
+    assert np.float64(dec.residual).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+def test_factoring_takes_no_2_norm(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("2-norm taken before the residual was read")
+
+    monkeypatch.setattr(ea, "spectral_norm", refuse)
+    dec = sr_decompose(np.random.default_rng(1).standard_normal((8, 8)), math.acos(0.3))
+    assert np.all(np.diag(dec.R) > 0)
+    assert "residual" not in repr(dec)
+    with pytest.raises(AssertionError, match="before the residual was read"):
+        dec.residual
+
+
+def test_second_read_is_free(monkeypatch):
+    calls = []
+
+    def counted(E):
+        calls.append(E.shape)
+        return spectral_norm(E)
+
+    monkeypatch.setattr(ea, "spectral_norm", counted)
+    dec = sr_decompose(np.random.default_rng(2).standard_normal((10, 6)), math.acos(0.2))
+    first = dec.residual
+    assert dec.residual == first and dec.residual == first
+    assert calls == [(10, 6)]
+    assert dec._E is None  # the difference S R - A is freed after the first read
 
 
 def test_single_column_at_any_angle():

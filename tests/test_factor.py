@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import eqkit.ea as ea
+import eqkit.factor as factor
 from eqkit.ea import certify_equiangular, triangular_equiangular
 from eqkit.errors import (
     ComplexSpectrum,
@@ -10,6 +12,7 @@ from eqkit.errors import (
     MultiplicityUnsupported,
     NonRealRoots,
     NotSymmetric,
+    OutOfRange,
     WrongSpectrum,
 )
 from eqkit.factor import (
@@ -24,7 +27,7 @@ from eqkit.factor import (
     two_eigenvalue_factor,
 )
 from eqkit.gram import GramParams, gram_matrix, gram_principal_sqrt
-from eqkit.kernel import poly_roots
+from eqkit.kernel import poly_roots, spectral_norm
 
 
 def _planted(n, alpha, eigvals, seed):
@@ -226,6 +229,39 @@ def test_sdst_zero_eigenvalues_extension(rng):
         assert certify_equiangular(f.S, tol=1e-8) == pytest.approx(alpha, abs=1e-8)
 
 
+def test_sdst_zero_eigenvalues_take_one_2_norm(rng, monkeypatch):
+    """The SR extension of the zero-eigenvalue block reads no SR residual, so
+    the only 2-norm is the one of the factorization's own residual."""
+    calls = []
+
+    def counted(X):
+        calls.append(X.shape)
+        return spectral_norm(X)
+
+    monkeypatch.setattr(ea, "spectral_norm", counted)
+    monkeypatch.setattr(factor, "spectral_norm", counted)
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    A = Q @ np.diag([0.0, 0.0, 1.0, 2.0, 3.5]) @ Q.T
+    f = sdst_factor(A, 0.12)
+    assert calls == [(5, 5)]
+    assert f.residual <= 1e-8 * np.linalg.norm(A, 2)
+
+
+def test_sdst_spectrum_past_overflow(rng):
+    """e_k(lambda) overflows at 2**700 lambda; the polynomial is built on a
+    power-of-two rescaled spectrum and d scales back."""
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    lam = np.array([1.0, 2.0, 3.0, 5.0])
+    A = Q @ np.diag(lam) @ Q.T
+    f, g = sdst_factor(A, 0.05), sdst_factor(A * 2.0**700, 0.05)
+    assert g.D / 2.0**700 == pytest.approx(f.D, rel=1e-12)
+    assert g.residual <= 1e-12 * 5.0 * 2.0**700
+    assert alpha_real_root_bound(lam * 2.0**700) == pytest.approx(alpha_real_root_bound(lam), abs=1e-6)
+    # (1 - alpha)^59 underflows: the polynomial is not representable at all.
+    with pytest.raises(OutOfRange):
+        sdst_factor(np.diag(np.arange(1.0, 61.0)), 1.0 - 1e-8)
+
+
 def test_sdst_too_many_zeros():
     with pytest.raises(MultiplicityUnsupported):
         sdst_factor(np.diag([0.0, 0.0, 1.0]), 0.1)
@@ -291,6 +327,16 @@ def test_schur_equiangular_round_trip(rng):
     assert np.linalg.norm(S.mat @ T @ inv - A, 2) <= 1e-8 * np.linalg.norm(A, 2)
     # quasi-triangular: nothing below the first subdiagonal
     assert np.allclose(np.tril(T, -2), 0.0)
+
+
+def test_schur_equiangular_takes_no_2_norm(rng, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense 2-norm computed")
+
+    monkeypatch.setattr(ea, "spectral_norm", refuse)
+    A = rng.standard_normal((6, 6))
+    S, T = schur_equiangular(A, 0.3)
+    assert np.abs(S.mat @ T - A @ S.mat).max() <= 1e-8 * np.abs(A).max()
 
 
 def test_schur_equiangular_symmetric_is_triangular(rng):

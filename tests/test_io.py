@@ -269,3 +269,39 @@ def test_written_files_are_read_without_the_line_loop(tmp_path, rng, monkeypatch
 
     monkeypatch.setattr(eqio, loop, refuse)
     assert np.array_equal(read_matrix(p), M)
+
+
+# ---- .mtx line boundaries --------------------------------------------------
+
+# Every line boundary of str.splitlines; str.split treats each as whitespace.
+LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("head_end", LINE_ENDS, ids=[repr(e) for e in LINE_ENDS])
+def test_mtx_header_and_size_line_end_in_any_line_boundary(tmp_path, monkeypatch, head_end):
+    """The bulk reader cuts lines 1 and 2 off where splitlines would.  Reading a
+    file turns \\r and \\r\\n into \\n, so the text is also parsed as it is."""
+    p = tmp_path / "m.mtx"
+    head = "%%MatrixMarket matrix array real general" + head_end
+    for size_end in LINE_ENDS:
+        text = f"{head}2 2{size_end}1 3{size_end}2 4{head_end}"
+        assert eqio._bulk_mtx(text) == ([1.0, 3.0, 2.0, 4.0], (2, 2))
+        p.write_text(text, encoding="utf-8", newline="")
+        assert_same_read(p)
+        with monkeypatch.context() as m:
+            m.setattr(eqio, "_loop_mtx", None)  # the bulk path reads it
+            assert np.array_equal(read_matrix(str(p)), [[1.0, 2.0], [3.0, 4.0]])
+        for bad in ["2 2 2", "", "% c"]:  # fall back to the line loop
+            p.write_text(f"{head}{bad}{size_end}1 3{size_end}2 4\n", encoding="utf-8", newline="")
+            assert_same_read(p)
+
+
+@pytest.mark.parametrize("name, data", [
+    ("m.csv", b"1,2\n3,\xff\n"),
+    ("m.mtx", b"%%MatrixMarket matrix array real general\n1 1\n\xe9\n"),
+])
+def test_non_utf8_file_is_a_parse_error(tmp_path, name, data):
+    p = tmp_path / name
+    p.write_bytes(data)
+    with pytest.raises(ParseError, match=rf"^{p}: not UTF-8 text \(invalid .* at byte \d+\)$"):
+        read_matrix(str(p))

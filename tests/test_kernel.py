@@ -38,8 +38,51 @@ class TestQr:
         with pytest.raises(RankDeficient):
             qr(A)
 
+    @staticmethod
+    def _rank_decision(A):
+        try:
+            qr(A)
+        except RankDeficient as exc:
+            return str(exc)
+        return None
+
+    def test_rank_decision_does_not_depend_on_scale(self):
+        """2**k A gets the decision of A for k in [-1020, 1020], past where the
+        squares of the column norms over- or underflow (|k| >= 550 here)."""
+        rng = np.random.default_rng(20)
+        ks = sorted(set(range(-1020, 1021, 17)) | {-1020, -551, -550, 550, 551, 1020})
+        for t in range(20):
+            A = rng.standard_normal((6, 6))
+            if t % 4 == 1:
+                A[:, 3] = A[:, 1]  # exactly dependent
+            elif t % 4 == 2:
+                A[:, 3] = A[:, 1] + 1e-13 * rng.standard_normal(6)  # dependent within RANK_RTOL
+            elif t % 4 == 3:
+                A[:, 3] = A[:, 1] + 1e-7 * rng.standard_normal(6)  # nearly dependent, independent
+            want = self._rank_decision(A)
+            assert want == (None if t % 4 in (0, 3) else "column 3 is dependent on the preceding columns")
+            for k in ks:
+                assert self._rank_decision(np.ldexp(A, k)) == want, (t, k)
+
+    def test_huge_diagonal_is_independent(self):
+        Q, R = qr(np.diag([1e200, 1e200]))
+        assert np.array_equal(Q, np.eye(2)) and np.array_equal(R, np.diag([1e200, 1e200]))
+
 
 class TestSymEig:
+    def test_huge_entries(self):
+        """Found by tests/test_fuzz_cli.py: eigh with vectors did not converge
+        on this 1e300 matrix, and a non-symmetric one passed the symmetry test
+        because both of its Frobenius norms overflowed."""
+        M = np.zeros((5, 5))
+        M[1, 0], M[3, 1], M[3, 4] = 1e300, 2.0, 2.0
+        A = M + M.T
+        Q, w = sym_eig(A)
+        assert np.array_equal(w, sym_eig(np.ldexp(A, -997))[1] * 2.0**997)
+        assert np.abs(Q @ np.diag(w) @ Q.T - A).max() <= 1e-15 * 1e300
+        with pytest.raises(NotSymmetric):
+            sym_eig(M + 1e300 * np.eye(5))
+
     def test_diagonal_sorted_ascending(self):
         Q, lam = sym_eig(np.diag([3.0, 1.0, 2.0]))
         assert np.allclose(lam, [1.0, 2.0, 3.0])
