@@ -80,8 +80,9 @@ def certify_doubly(M, tol: float = 1e-8):
     n = M.shape[0]
     if n == 0:
         return None
-    G_cols = M.T @ M
-    G_rows = M @ M.T
+    with np.errstate(over="ignore"):  # an overflowed Gram entry fails the unit-norm test
+        G_cols = M.T @ M
+        G_rows = M @ M.T
     a_cols = _gram_cosine(G_cols, tol)
     a_rows = _gram_cosine(G_rows, tol)
     if a_cols is None or a_rows is None or abs(a_cols - a_rows) > tol:

@@ -202,7 +202,9 @@ def certify_equiangular(M, tol: float = 1e-8):
     M = as_matrix(getattr(M, "mat", M))
     if M.shape[1] == 0:
         return None
-    return _gram_cosine(M.T @ M, tol)
+    with np.errstate(over="ignore"):  # an overflowed Gram entry fails the unit-norm test
+        G = M.T @ M
+    return _gram_cosine(G, tol)
 
 
 def _gram_cosine(G: np.ndarray, tol: float):

@@ -29,6 +29,7 @@ import numpy as np
 from .ea import EquiangularMatrix, sr_decompose, triangular_equiangular
 from .errors import (
     ComplexSpectrum,
+    DegreeZero,
     InvalidAlpha,
     MultiplicityUnsupported,
     NonRealRoots,
@@ -37,12 +38,12 @@ from .errors import (
 )
 from .gram import GramParams, dual_params, gram_principal_sqrt
 from .kernel import (
-    ROOT_SNAP_RTOL,
     as_matrix,
     norm2_at_most,
     poly_roots,
     real_schur,
     require_square,
+    snap_real,
     spectral_norm,
     sym_eig,
 )
@@ -125,7 +126,9 @@ def _poly_scale(lambdas) -> tuple[np.ndarray, float]:
 def _roots(lambdas, alpha: float) -> np.ndarray:
     """Snapped roots of ``build_poly(lambdas, alpha)``; OutOfRange if a coefficient overflows."""
     try:
-        return poly_roots(build_poly(lambdas, alpha).coeffs)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            coeffs = build_poly(lambdas, alpha).coeffs
+        return poly_roots(coeffs)
     except ValueError as exc:  # poly_roots refuses NaN and Inf coefficients
         raise OutOfRange(f"factorization polynomial overflows float64 at alpha={alpha!r}") from exc
 
@@ -134,12 +137,37 @@ def alpha_real_root_bound(lambdas, tol: float = 1e-6) -> float:
     """Largest cosine for which the factorization polynomial stays all-real.
 
     Bisects the all-real predicate over (1e-6, 1 - 1e-6); returns 0.0 when
-    even the smallest tested cosine already produces non-real roots.
+    even the smallest tested cosine already produces non-real roots.  e_k
+    does not depend on alpha, so it is formed once; each tested cosine then
+    rewrites row 0 of one companion matrix, laid out as ``np.roots`` lays it
+    out, with -c(alpha) and counts the eigenvalues that ``snap_real`` leaves
+    off the real axis.  The tested cosines and the eigenvalue solver's input
+    are those of ``poly_roots(build_poly(lambdas, alpha).coeffs)``, so the
+    bound is the same to the bit.
     """
     lambdas, _ = _poly_scale(lambdas)
+    n = lambdas.size
+    if not n:
+        raise DegreeZero("polynomial must have degree >= 1")
+    e = elementary_symmetric(lambdas)[1:]
+    km1 = np.arange(n)
+    # The denominators lie in (0, 1], so c_k is zero exactly where e_k is.
+    # np.roots drops trailing zero coefficients as real zero roots: the
+    # companion matrix stops at the last nonzero e_k.
+    nonzero = np.flatnonzero(e)
+    m = int(nonzero[-1]) + 1 if nonzero.size else 0
+    flip = (-1.0) ** np.arange(m)  # row 0 is -coeffs[1:] = c * flip
+    companion = np.diag(np.ones(max(m - 1, 0)), -1)
 
     def all_real(a: float) -> bool:
-        return not np.count_nonzero(_roots(lambdas, a).imag)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            c = e / ((1.0 - a) ** km1 * (1.0 + km1 * a))
+        if not np.isfinite(c).all():
+            raise OutOfRange(f"factorization polynomial overflows float64 at alpha={a!r}")
+        if not m:
+            return True
+        np.multiply(c[:m], flip, out=companion[0])
+        return not np.count_nonzero(snap_real(np.linalg.eigvals(companion)).imag)
 
     lo, hi = 1e-6, 1.0 - 1e-6
     if not all_real(lo):
@@ -357,7 +385,7 @@ def equiangular_eigenvectors(A, tol: float = 1e-8):
     A = require_square(as_matrix(A))
     n = A.shape[0]
     w, X = np.linalg.eig(A)
-    if np.any(np.abs(w.imag) > ROOT_SNAP_RTOL * (1.0 + np.abs(w.real))):
+    if np.count_nonzero(snap_real(w).imag):
         raise ComplexSpectrum("matrix has non-real eigenvalues")
     w = w.real.astype(float)
     X = np.real(X)

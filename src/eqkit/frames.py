@@ -87,7 +87,8 @@ def is_etf(F: FrameSet, tol: float = 1e-8) -> EtfReport:
     if n == 0 or m == 0:
         raise InvalidShape(f"a frame needs at least one vector of dimension >= 1, got shape {V.shape}")
     failed = []
-    G = V.T @ V
+    with np.errstate(over="ignore"):  # an overflowed Gram entry fails unit_norms
+        G = V.T @ V
     if float(np.max(np.abs(np.diag(G) - 1.0))) > tol:
         failed.append("unit_norms")
     off = np.abs(G[~np.eye(m, dtype=bool)])
@@ -102,7 +103,8 @@ def is_etf(F: FrameSet, tol: float = 1e-8) -> EtfReport:
     else:
         coherence = 0.0
     del off
-    W = V @ V.T
+    with np.errstate(over="ignore"):
+        W = V @ V.T
     frame_constant = float(np.trace(W)) / n
     # |W_ij| <= (W_ii + W_jj) / 2, so a finite trace means a finite W; an
     # overflowed frame operator is not tight.

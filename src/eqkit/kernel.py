@@ -5,11 +5,13 @@ finding are delegated to LAPACK, which comes through numpy; only
 ``real_schur`` needs SciPy, and imports it on first use, so importing the
 package or running the CLI never loads SciPy.  This module pins down the
 conventions the rest of the code relies on: nonnegative R diagonal,
-ascending eigenvalues, rank and root-snapping tolerances.  ``spectral_norm``
-is the one matrix 2-norm value the package and the CLI use, and
-``norm2_at_most`` the one 2-norm test: it decides ``||X||_2 <= bound`` from
-the Frobenius norm and the column norms when they settle it, and calls
-``spectral_norm`` only when they do not.
+ascending eigenvalues, rank and root-snapping tolerances.  ``snap_real`` is
+the one place the rule that puts a root on the real axis is written, for
+``poly_roots`` and for every caller that counts non-real eigenvalues.
+``spectral_norm`` is the one matrix 2-norm value the package and the CLI
+use, and ``norm2_at_most`` the one 2-norm test: it decides
+``||X||_2 <= bound`` from the Frobenius norm and the column norms when they
+settle it, and calls ``spectral_norm`` only when they do not.
 
 ``generic_inverse`` is deliberately a hand-written LU inverse: it serves as
 the cubic-cost baseline against which the structured inverse is benchmarked,
@@ -102,7 +104,8 @@ def qr(A):
     n, m = A.shape
     if n < m:
         raise RankDeficient(f"{m} columns cannot be independent in dimension {n}")
-    col_norms = np.linalg.norm(A, axis=0)
+    with np.errstate(over="ignore"):  # overflowed norms are rescaled below
+        col_norms = np.linalg.norm(A, axis=0)
     Q, R = np.linalg.qr(A, mode="reduced")
     d = np.abs(np.diag(R))
     # |R[j,j]| is exactly the residual norm of column j against the span of
@@ -129,7 +132,8 @@ def sym_eig(A):
     Eigenvalues are returned ascending; Q has orthonormal columns.
     """
     A = require_square(as_matrix(A))
-    norm = float(np.linalg.norm(A))
+    with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
+        norm = float(np.linalg.norm(A))
     s = 1.0
     if norm >= SAFE_NORM_HIGH:
         # Divided by a power of two s (max |A/s| in [1, 2)), A's norms and
@@ -174,14 +178,19 @@ def poly_roots(coeffs):
         raise ValueError("polynomial coefficients contain NaN or Inf")
     if c[0] == 0.0:
         raise DegreeZero("leading coefficient is zero")
-    roots = np.roots(c / c[0])
-    snapped = np.where(
+    snapped = snap_real(np.roots(c / c[0]))
+    order = np.lexsort((snapped.imag, snapped.real))
+    return snapped[order]
+
+
+def snap_real(roots: np.ndarray) -> np.ndarray:
+    """``roots`` as complex, each with |imag| <= ROOT_SNAP_RTOL * (1 + |real|)
+    collapsed onto the real axis; the one place that rule is written."""
+    return np.where(
         np.abs(roots.imag) <= ROOT_SNAP_RTOL * (1.0 + np.abs(roots.real)),
         roots.real.astype(complex),
         roots,
     )
-    order = np.lexsort((snapped.imag, snapped.real))
-    return snapped[order]
 
 
 def spectral_norm(A) -> float:

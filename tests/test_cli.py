@@ -1,7 +1,8 @@
 """End-to-end command-line tests.
 
-Every subcommand runs in-process through ``main(argv)``; one smoke test runs
-the entry point declared in ``pyproject.toml`` in a subprocess.  File parsing
+Every subcommand runs in-process through ``main(argv)``; the smoke test of
+the entry point declared in ``pyproject.toml`` and the tests that stderr stays
+free of numpy warnings run ``python -m eqkit`` in a subprocess.  File parsing
 gets its own section since every command leans on it.
 """
 
@@ -385,6 +386,21 @@ def test_inverse_bench(tmp_path, capsys):
     assert all(r["t_lapack"] > 0 for r in rep["bench"])  # np.linalg.inv, the dense baseline
 
 
+def _run_module(*argv):
+    """``python -m eqkit argv`` in a fresh process, against the same eqkit these
+    tests imported and under Python's default warning filters."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    src = str(Path(eqkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "eqkit", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 def test_console_script(tmp_path):
     try:
         import tomllib
@@ -395,17 +411,7 @@ def test_console_script(tmp_path):
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr, None) is main, target
 
-    # Run in a fresh process against the same eqkit these tests imported.
-    env = dict(os.environ)
-    src = str(Path(eqkit.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "eqkit", "frame", "--n", "2", "--out", f"{tmp_path}/"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = _run_module("frame", "--n", "2", "--out", f"{tmp_path}/")
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["command"] == "frame" and rep["passed"] is True
@@ -461,6 +467,27 @@ def test_sdst_of_an_overflowing_spectrum(tmp_path, capsys, huge):
     write_matrix(p, np.diag([1.0, 2.0, 3.0]) * 2.0**700)
     code, rep, _ = run_cli(capsys, "sdst", p, "--alpha", 0.1, "--out", f"{tmp_path}/o_")
     assert code == 0 and rep["passed"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["check"], 0, ""),
+        (["sr", "--alpha", "0.3"], 0, ""),
+        (["dea", "--alpha", "0.3"], 0, ""),
+        (["sdst", "--find-alpha-bound"], 0, ""),
+        (["sdst", "--alpha", "0.3"], 16, "eqkit sdst: 2 non-real roots at alpha=0.3\n"),
+    ],
+    ids=["check", "sr", "dea", "sdst_bound", "sdst_alpha"],
+)
+def test_overflow_warnings_stay_off_stderr(tmp_path, capsys, huge, argv, code, err):
+    """numpy's overflow RuntimeWarnings from Gram products, column norms and
+    spectrum powers of diag(1e200, 1e200) reached stderr before the report."""
+    argv = [argv[0], huge, *argv[1:], "--out", f"{tmp_path}/o_"]
+    proc = _run_module(*argv)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert main([str(a) for a in argv]) == code
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_overflowed_threshold_is_null(tmp_path, capsys):

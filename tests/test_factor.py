@@ -8,6 +8,7 @@ import eqkit.factor as factor
 from eqkit.ea import certify_equiangular, triangular_equiangular
 from eqkit.errors import (
     ComplexSpectrum,
+    DegreeZero,
     InvalidAlpha,
     MultiplicityUnsupported,
     NonRealRoots,
@@ -133,6 +134,120 @@ def test_bound_monotone_in_spread():
     assert abs(wide - 0.81342) <= 5e-4
     assert abs(tight - 0.03643) <= 5e-4
     assert wide > tight
+
+
+def _bound_reference(lambdas, tol: float = 1e-6) -> float:
+    """The bisection with its first predicate: every tested cosine builds the
+    polynomial anew and takes its roots with ``poly_roots``."""
+    lambdas, _ = factor._poly_scale(lambdas)
+
+    def all_real(a: float) -> bool:
+        return not np.count_nonzero(factor._roots(lambdas, a).imag)
+
+    lo, hi = 1e-6, 1.0 - 1e-6
+    if not all_real(lo):
+        return 0.0
+    if all_real(hi):
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if all_real(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _mixed_spectra(rng, sizes, count, zeros=0):
+    """``count`` spectra of each size with random signs and magnitudes 1e-3..1e3,
+    the first ``zeros`` entries set to zero."""
+    out = []
+    for n in sizes:
+        for _ in range(count):
+            lam = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+            lam[:zeros] = 0.0
+            out.append(lam)
+    return out
+
+
+BOUND_FAMILIES = {
+    "mixed_sign": lambda rng: _mixed_spectra(rng, range(2, 21), 30),
+    "one_zero": lambda rng: _mixed_spectra(rng, range(3, 15), 5, zeros=1),
+    "two_zeros": lambda rng: _mixed_spectra(rng, range(4, 16), 5, zeros=2),
+    "rescaled_2_700": lambda rng: [2.0**700 * lam for lam in _mixed_spectra(rng, range(2, 12), 2)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(BOUND_FAMILIES))
+def test_bound_matches_reference_bitwise(rng, family):
+    spectra = BOUND_FAMILIES[family](rng)
+    assert len(spectra) >= 20
+    for lam in spectra:
+        assert alpha_real_root_bound(lam) == _bound_reference(lam), lam
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_bound_of_integer_spectrum_matches_reference(n):
+    lam = np.arange(1.0, n + 1.0)
+    bound = alpha_real_root_bound(lam)
+    assert bound == _bound_reference(lam)
+    # The monomial coefficients lose every digit by n = 32: the predicate
+    # already fails at the smallest cosine (a false negative, ROADMAP item 1).
+    assert (bound == 0.0) == (n == 32)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [np.array([np.nan, 1.0]), 2.0 ** np.arange(60.0)],
+    ids=["nan_at_first_cosine", "underflowing_denominator_at_last_cosine"],
+)
+def test_bound_overflow_raises_the_reference_text(lam):
+    with pytest.raises(OutOfRange) as want:
+        _bound_reference(lam)
+    with pytest.raises(OutOfRange) as got:
+        alpha_real_root_bound(lam)
+    assert str(got.value) == str(want.value)
+
+
+def test_bound_edge_spectra_match_reference():
+    for lam in ([3.0], [0.0, 0.0], np.zeros(5), [1.0, 1.0], [-2.0, 2.0], [1.0, 0.0, -1.0]):
+        assert alpha_real_root_bound(lam) == _bound_reference(lam), lam
+    with pytest.raises(DegreeZero, match="degree >= 1"):
+        alpha_real_root_bound([])
+
+
+def test_bound_solves_the_np_roots_companion_at_the_reference_cosines(rng, monkeypatch):
+    """Each eigenvalue solve gets, bit for bit, the companion matrix ``np.roots``
+    builds for ``build_poly(lam, a)`` at each cosine the reference tests."""
+    cosines, solved = [], []
+    roots, eigvals = factor._roots, np.linalg.eigvals
+    monkeypatch.setattr(factor, "_roots", lambda lam, a: cosines.append(a) or roots(lam, a))
+    spectra = _mixed_spectra(rng, range(2, 13), 2) + _mixed_spectra(rng, range(3, 9), 2, zeros=2)
+    for lam in spectra:
+        cosines.clear()
+        solved.clear()
+        _bound_reference(lam)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvals", lambda M: solved.append(M.copy()) or eigvals(M))
+            alpha_real_root_bound(lam)
+        assert len(solved) == len(cosines)
+        for a, M in zip(cosines, solved):
+            p = np.trim_zeros(build_poly(lam, a).coeffs, "b")  # as np.roots strips them
+            want = np.diag(np.ones(p.size - 2), -1)
+            want[0, :] = -p[1:] / p[0]
+            assert M.dtype == want.dtype and M.tobytes() == want.tobytes()
+
+
+def test_bound_forms_elementary_symmetric_once(monkeypatch):
+    calls = []
+
+    def counted(values):
+        calls.append(1)
+        return elementary_symmetric(values)
+
+    monkeypatch.setattr(factor, "elementary_symmetric", counted)
+    assert alpha_real_root_bound([1.0, 2.0, 3.0, 5.0]) > 0.0
+    assert len(calls) == 1
 
 
 # ---- two_eigenvalue_factor -------------------------------------------------
