@@ -94,8 +94,9 @@ def is_etf(F: FrameSet, tol: float = 1e-8) -> EtfReport:
     off = np.abs(G[~np.eye(m, dtype=bool)])
     del G  # freed before the frame operator W is formed
     if m > 1:
-        coherence = float(off.mean())
-        off -= coherence
+        with np.errstate(over="ignore", invalid="ignore"):  # near 1e300 the mean overflows, inf - inf is nan
+            coherence = float(off.mean())
+            off -= coherence
         if float(np.max(np.abs(off, out=off))) > tol:
             failed.append("constant_coherence")
         elif m > n and abs(coherence - welch_alpha(n, m)) > tol:

@@ -9,14 +9,15 @@ Two formats, chosen by extension:
 Values are written with 17 significant digits so a write/read round trip
 reproduces the float64 entries exactly.
 
-Both readers first try a bulk path: the data section is split once and
-converted with Python's ``float``, so it accepts the same values as the
-line loop.  The ``.mtx`` bulk path cuts only the header and size lines off
-the text and never splits the data into lines.  Any irregularity (a
-comment or blank line among the data, a ragged row, a bad token) sends the
-text through the line loop, which reports the failing line as
-``path:lineno: ...``.  A file that is not UTF-8 is a ``ParseError``.  The writer formats the
-whole matrix with one ``%``-format of a ``%.17g`` template.
+Both readers first try a bulk path that accepts what the line loop accepts.
+CSV data rows go to one ``np.loadtxt`` call, which converts each field with
+the C function ``float`` uses; what it refuses (non-ASCII, ``_``, quotes) and
+rows holding ``\\x1f``, which it strips and ``float`` does not, are left to the
+line loop.  The ``.mtx`` bulk path cuts the header and size lines off the text
+and splits the rest once.  Any irregularity (a comment or blank line among the
+data, a ragged row, a bad token) sends the text through the line loop, which
+reports the failing line as ``path:lineno: ...``.  A file that is not UTF-8 is
+a ``ParseError``.  The writer formats the whole matrix with one ``%``-format.
 """
 
 from __future__ import annotations
@@ -44,21 +45,20 @@ def _csv_header(line: str):
 
 
 def _bulk_csv(lines: list[str]):
-    """(matrix, header) when every line after an optional leading ``#`` line is a
-    data row of one common width, else None."""
+    """(matrix, header) when numpy's reader takes every line after an optional
+    leading ``#`` line as a data row of one common width, else None."""
     head = lines[0].strip() if lines else ""
     has_head = head.startswith("#")
     rows = lines[1:] if has_head else lines
-    if not rows:
-        return None
-    commas = rows[0].count(",")
-    if any(r.count(",") != commas for r in rows):
-        return None
-    try:
-        values = list(map(float, ",".join(rows).split(",")))
-    except ValueError:
-        return None
-    return np.array(values).reshape(len(rows), commas + 1), (_csv_header(head) if has_head else None)
+    # numpy's reader warns when there is no data, and strips \x1f, which float() keeps.
+    if any(rows) and not any("\x1f" in r for r in rows):
+        try:
+            m = np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if len(m) == len(rows):  # it skips blank lines; the line loop reads those texts
+            return m, (_csv_header(head) if has_head else None)
+    return None
 
 
 def _loop_csv(lines: list[str], path: str):
@@ -97,14 +97,13 @@ def _mtx_dims(line: str) -> tuple[int, int]:
     parts = line.split()
     if len(parts) != 2:
         raise ValueError("expected 'rows cols'")
-    bad = ValueError(f"size line {line.strip()!r} is not two nonnegative integers")
     try:
-        dims = (int(parts[0]), int(parts[1]))
+        dims = int(parts[0]), int(parts[1])
+        if min(dims) >= 0:
+            return dims
     except ValueError:
-        raise bad from None
-    if min(dims) < 0:
-        raise bad
-    return dims
+        pass
+    raise ValueError(f"size line {line.strip()!r} is not two nonnegative integers")
 
 
 def _bulk_mtx(text: str):

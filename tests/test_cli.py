@@ -490,6 +490,26 @@ def test_overflow_warnings_stay_off_stderr(tmp_path, capsys, huge, argv, code, e
     assert proc.stdout == capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text, failed",
+    [
+        ("# 4 2\n0,0\n0,0\n0,0\n1.0000000000000001e+300,1.0000000000000001e+300\n", ["unit_norms", "tight"]),
+        ("# 1 3\n1e+160,5.879634035404517e+147,5.879634035404517e+147\n",
+         ["unit_norms", "constant_coherence", "tight"]),
+    ],
+    ids=["coherence_inf_minus_inf", "coherence_mean_overflows"],
+)
+def test_etf_coherence_warnings_stay_off_stderr(tmp_path, text, failed):
+    """Found by tests/test_fuzz_cli.py: is_etf's mean of overflowed |cosines|
+    (and inf - inf in the deviation from it) printed a RuntimeWarning."""
+    p = tmp_path / "m.csv"
+    p.write_text(text)
+    proc = _run_module("check", p, "--out", f"{tmp_path}/o_")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert _strict(proc.stdout)["etf"] == {"ok": False, "failed": failed, "coherence": None,
+                                           "frame_constant": None}
+
+
 def test_overflowed_threshold_is_null(tmp_path, capsys):
     """Found by tests/test_fuzz_cli.py: tol * ||A|| overflowed and was printed as Infinity."""
     p = tmp_path / "a.csv"

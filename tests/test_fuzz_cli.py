@@ -9,7 +9,9 @@ extreme ``--alpha``, ``--theta``, ``--tol`` and ``--n``.  Whatever the input:
 * with 0 or 1, stdout is one strict (RFC 8259) JSON report;
 * otherwise stdout is empty and stderr is the one line ``eqkit <command>: ...``;
 * no exception escapes ``main``, which a console run would print as a
-  traceback and exit 1.
+  traceback and exit 1;
+* no warning is issued, which a console run would print on stderr: each run
+  turns warnings into errors.
 
 A second property reads mangled matrix texts with ``read_matrix`` and with the
 line-loop reference of ``test_io``: both give the same bits or the same
@@ -28,9 +30,7 @@ import pytest
 
 from eqkit import errors
 from eqkit.cli import main
-from eqkit.errors import ParseError
-from eqkit.io import read_matrix
-from test_io import LINE_ENDS, bits, ref_read
+from test_io import LINE_ENDS, assert_same_read
 
 given = pytest.importorskip("hypothesis").given
 st = pytest.importorskip("hypothesis.strategies")
@@ -76,7 +76,8 @@ def matrix_text(M, ext):
 
 
 SNIPPETS = ["nan", "inf", "-inf", "x", ",", " ", "%", "% 7\n", "#", "# 2 2\n", "\n", "1", "-0.0",
-            "1e999", "1_0", "\xa0", "\x1f", "%%MatrixMarket matrix array real general\n", "2 x\n", "-1 -1\n"]
+            "1e999", "1_0", "\xa0", "\x1f", "%%MatrixMarket matrix array real general\n", "2 x\n", "-1 -1\n",
+            '"', "\x00", "\ufeff", "\u0661", "nan(1)", "0x1p3", "\t", "\r\n"]
 
 
 @st.composite
@@ -147,7 +148,7 @@ def run(workdir, command, file=None, *options):
     argv += [*options, f"--out={workdir}/out_"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # numpy's overflow warnings are not part of the contract
+        warnings.simplefilter("error")  # a warning would reach a console run's stderr
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
@@ -233,26 +234,9 @@ def test_frame_contract(workdir, n, tol):
 # ---- the reader against the line loop ----------------------------------------
 
 
-def read_outcome(read, path):
-    try:
-        return "ok", read(str(path))
-    except ParseError as exc:
-        return "ParseError", str(exc)
-    except (ValueError, UnicodeDecodeError) as exc:  # the reference's untyped failures
-        return "untyped", repr(exc)
-
-
 @given(mangled_texts())
 def test_reader_matches_the_line_loop(workdir, ext_text):
     ext, text = ext_text
     path = workdir / f"read.{ext}"
     path.write_text(text, encoding="utf-8", newline="")
-    new, ref = read_outcome(read_matrix, path), read_outcome(ref_read, path)
-    assert new[0] != "untyped", new
-    if ref[0] == "untyped":
-        assert new[0] == "ParseError"  # a size line the reference let escape as ValueError
-    elif ref[0] == "ok":
-        assert new[0] == "ok", new
-        assert new[1].shape == ref[1].shape and np.array_equal(bits(new[1]), bits(ref[1]))
-    else:
-        assert new == ref
+    assert_same_read(path)

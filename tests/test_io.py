@@ -70,7 +70,12 @@ def ref_parse_matrix_market(text, path):
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 'rows cols'")
-            dims = (int(parts[0]), int(parts[1]))
+            try:
+                dims = (int(parts[0]), int(parts[1]))
+                if min(dims) < 0:
+                    raise ValueError
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: size line {line!r} is not two nonnegative integers") from None
             continue
         try:
             values.extend(float(tok) for tok in line.split())
@@ -248,11 +253,67 @@ def test_reader_rejects_with_the_line_loop_message(tmp_path, name, text):
     assert_same_read(p)
 
 
+def test_negative_mtx_size_line_is_rejected_as_the_reference_rejects_it(tmp_path):
+    """Found by tests/test_fuzz_cli.py: the reference once read '-1 -1' as a
+    size and reported a value count instead of the size-line rule."""
+    p = tmp_path / "m.mtx"
+    p.write_text("%%MatrixMarket matrix array real general\n-1 -1\n1 1\n1\n")
+    message = f"{p}:2: size line '-1 -1' is not two nonnegative integers"
+    assert outcome(ref_read, p) == outcome(read_matrix, p) == ("ParseError", message)
+
+
 def test_bad_token_message_names_its_line(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("# 3 2\n1,2\n3,4\n5,oops\n")
     with pytest.raises(ParseError, match=r"m\.csv:4: could not convert string to float: 'oops'"):
         read_matrix(str(p))
+
+
+# ---- CSV: where numpy's reader and float() could differ ---------------------
+
+# numpy's reader parses each field with the function float() uses, but it
+# refuses non-ASCII text and '_', skips blank lines and strips \x1f as
+# whitespace.  Whatever it refuses or skips, and any row holding \x1f, is left
+# to the line loop.
+C_READER_EDGES = [
+    ("quote", '"1",2\n3,4\n'),
+    ("NUL", "1,2\n3,\x004\n"),
+    ("NUL_alone", "1,2\n3,\x00\n"),
+    ("BOM", "\ufeff1,2\n3,4\n"),
+    ("BOM_before_header", "\ufeff# 2 2\n1,2\n3,4\n"),
+    ("arabic_digit", "\u0661,2\n3,4\n"),
+    ("underscore", "1_0,2\n3,4\n"),
+    ("nan_payload", "nan(1),2\n3,4\n"),
+    ("hex_float", "0x1p3,2\n3,4\n"),
+    ("empty_field", "1,,2\n3,4,5\n"),
+    ("trailing_comma", "1,2,\n3,4,\n"),
+    ("tab", "1\t,\t2\n\t3,4\t\n"),
+    ("unit_separator_at_line_ends", "\x1f1,2\x1f\n3,4\n"),
+    ("unit_separator_inside_a_line", "1,\x1f2\n3\x1f,4\n"),  # float() does not strip it; numpy would
+    ("no_break_space", "\xa01,2\n3,\xa04\n"),
+    ("ideographic_space", "\u30001,2\n3,4\u3000\n"),
+    ("CRLF", "# 2 2\r\n1,2\r\n3,4\r\n"),
+    ("blank_row", "# 2 2\n1,2\n\n3,4\n"),
+    ("whitespace_row", "# 2 2\n1,2\n \t \n3,4\n"),
+    ("whitespace_row_one_column", "1\n  \n2\n"),
+    ("header_no_rows", "# 2 2\n"),
+    ("header_blank_rows", "# 2 2\n\n\n"),
+    ("blank_rows", "\n\n"),
+    ("single_row", "# 1 3\n1,2,3\n"),
+    ("single_column", "# 3 1\n1\n2\n3\n"),
+    ("single_entry", "-0.0"),
+    ("signs_and_case", "+5,-0.0,.5,5.,1E-3,-4.9e-324\n"),
+    ("overflow", "1e999,2\n"),
+    ("nan_signed", "-nan,2\n"),
+    ("inside_space", "1 2,3\n"),
+]
+
+
+@pytest.mark.parametrize("text", [t for _, t in C_READER_EDGES], ids=[i for i, _ in C_READER_EDGES])
+def test_csv_reader_matches_the_line_loop_where_numpy_and_float_differ(tmp_path, text):
+    p = tmp_path / "m.csv"
+    p.write_text(text, encoding="utf-8", newline="")
+    assert_same_read(p)
 
 
 # ---- the bulk paths are the ones taken -------------------------------------
@@ -269,6 +330,25 @@ def test_written_files_are_read_without_the_line_loop(tmp_path, rng, monkeypatch
 
     monkeypatch.setattr(eqio, loop, refuse)
     assert np.array_equal(read_matrix(p), M)
+
+
+@pytest.mark.parametrize("shape", [(30, 20), (1, 5), (5, 1), (1, 1)])
+def test_written_csv_is_one_loadtxt_call(tmp_path, rng, monkeypatch, shape):
+    M = rng.standard_normal(shape)
+    p = str(tmp_path / "m.csv")
+    write_matrix(p, M)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    monkeypatch.setattr(eqio, "_loop_csv", None)  # never reached
+    back = read_matrix(p)
+    assert len(calls) == 1
+    assert back.shape == M.shape and np.array_equal(bits(back), bits(M))
 
 
 # ---- .mtx line boundaries --------------------------------------------------
