@@ -24,7 +24,7 @@ from .ea import sr_decompose  # noqa: F401  perfbench/spans.py traces eqkit.cli.
 from .errors import EqkitError, InvalidAlpha, InvalidAngle, InvalidTolerance, IoError, NotEquiangular
 from .factor import alpha_real_root_bound, sdst_factor
 from .frames import FrameSet, is_etf, simplex_frame, welch_alpha
-from .gram import gram_matrix
+from .gram import GramParams, gram_matrix
 from .io import read_matrix, write_matrix
 from .kernel import generic_inverse, spectral_norm, sym_eig
 from .spectral import benchmark_inverse, fast_inverse, fit_exponent
@@ -91,6 +91,8 @@ def _out_path(args, name: str) -> str:
 def cmd_sr(args) -> int:
     A = read_matrix(args.input)
     alpha = _resolve_alpha(args)
+    if A.shape[1] >= 2:
+        GramParams(A.shape[1], alpha)  # InvalidAlpha, as dea raises, for a cosine the columns cannot share
     S, R = _sr_factors(A, math.acos(alpha))
     paths = {"S": _out_path(args, "S"), "R": _out_path(args, "R")}
     write_matrix(paths["S"], S.mat)
@@ -162,9 +164,7 @@ def cmd_sdst(args) -> int:
     if args.find_alpha_bound:
         _, w = sym_eig(A)
         bound = alpha_real_root_bound(w)
-        rep = _report("sdst", args, {}, {}, {"alpha_real_root_bound": bound})
-        rep["passed"] = True
-        return _emit(rep)
+        return _emit(_report("sdst", args, {}, {}, {"alpha_real_root_bound": bound}))
     if args.alpha is None:
         raise InvalidAngle("sdst needs --alpha (or --find-alpha-bound)")
     fac = sdst_factor(A, args.alpha)
@@ -227,14 +227,12 @@ def cmd_check(args) -> int:
     cert_cols = certify_equiangular(M, args.tol)
     cert_dbl = certify_doubly(M, args.tol) if M.shape[0] == M.shape[1] else None
     etf = is_etf(FrameSet(M), args.tol)
-    rep = _report("check", args, {}, {}, {
+    return _emit(_report("check", args, {}, {}, {
         "equiangular_alpha": cert_cols,
         "doubly_equiangular_alpha": cert_dbl,
         "etf": {"ok": etf.ok, "failed": etf.failed, "coherence": _finite(etf.coherence),
                 "frame_constant": _finite(etf.frame_constant)},
-    })
-    rep["passed"] = True
-    return _emit(rep)
+    }))
 
 
 def build_parser() -> argparse.ArgumentParser:

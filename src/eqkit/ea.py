@@ -214,12 +214,16 @@ def _gram_cosine(G: np.ndarray, tol: float):
         return None
     if m == 1:
         return 0.0
-    off = G[~np.eye(m, dtype=bool)]
-    mean = float(off.mean())
-    off -= mean
-    if float(np.max(np.abs(off, out=off))) > tol:
-        return None
-    return mean
+    mean, constant = _near_constant(G[~np.eye(m, dtype=bool)], tol)
+    return mean if constant else None
+
+
+def _near_constant(off: np.ndarray, tol: float) -> tuple[float, bool]:
+    """The mean of ``off`` and whether every entry lies within ``tol`` of it; overwrites ``off``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # near 1e300 the mean overflows, inf - inf is nan
+        mean = float(off.mean())
+        off -= mean
+    return mean, float(np.max(np.abs(off, out=off))) <= tol  # a NaN spread fails
 
 
 def polar_orthogonal_factor(S: EquiangularMatrix) -> np.ndarray:

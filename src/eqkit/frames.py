@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ea import EquiangularMatrix
+from .ea import EquiangularMatrix, _near_constant
 from .errors import InvalidShape, NotSpanning
 from .kernel import as_matrix, norm2_at_most, sym_eig
 
@@ -94,10 +94,8 @@ def is_etf(F: FrameSet, tol: float = 1e-8) -> EtfReport:
     off = np.abs(G[~np.eye(m, dtype=bool)])
     del G  # freed before the frame operator W is formed
     if m > 1:
-        with np.errstate(over="ignore", invalid="ignore"):  # near 1e300 the mean overflows, inf - inf is nan
-            coherence = float(off.mean())
-            off -= coherence
-        if float(np.max(np.abs(off, out=off))) > tol:
+        coherence, constant = _near_constant(off, tol)
+        if not constant:
             failed.append("constant_coherence")
         elif m > n and abs(coherence - welch_alpha(n, m)) > tol:
             failed.append("welch_bound")

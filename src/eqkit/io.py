@@ -9,28 +9,25 @@ Two formats, chosen by extension:
 Values are written with 17 significant digits so a write/read round trip
 reproduces the float64 entries exactly.
 
-Both readers first try a bulk path that accepts what the line loop accepts.
-CSV data rows go to one ``np.loadtxt`` call, which converts each field with
-the C function ``float`` uses; what it refuses (non-ASCII, ``_``, quotes) and
-rows holding ``\\x1f``, which it strips and ``float`` does not, are left to the
-line loop.  The ``.mtx`` bulk path cuts the header and size lines off the text
-and splits the rest once.  Any irregularity (a comment or blank line among the
-data, a ragged row, a bad token) sends the text through the line loop, which
-reports the failing line as ``path:lineno: ...``.  A file that is not UTF-8 is
-a ``ParseError``.  The writer formats the whole matrix with one ``%``-format.
+Both readers first hand the data lines to one ``np.loadtxt`` call, which
+converts each field with the C function ``float`` uses: CSV the rows after an
+optional ``#`` header, split at commas; ``.mtx`` the lines after the size line,
+split at whitespace, as one column-major value stream.  What numpy refuses
+(non-ASCII, ``_``, quotes, a comment or blank line among the data, a ragged
+CSV row), an all-blank body and lines holding ``\\x1f``, which numpy strips
+and ``float`` does not, are left to the line loop, the second parser.  It
+reads what ``float`` accepts and reports a failing line as
+``path:lineno: ...``.  A file that is not UTF-8 is a ``ParseError``.  The
+writer formats the whole matrix with one ``%``-format.
 """
 
 from __future__ import annotations
 
 import os
-import re
 
 import numpy as np
 
 from .errors import IoError, ParseError
-
-# The line boundaries of ``str.splitlines``.
-_LINE_END = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 def _csv_header(line: str):
@@ -44,20 +41,16 @@ def _csv_header(line: str):
     return None
 
 
-def _bulk_csv(lines: list[str]):
-    """(matrix, header) when numpy's reader takes every line after an optional
-    leading ``#`` line as a data row of one common width, else None."""
-    head = lines[0].strip() if lines else ""
-    has_head = head.startswith("#")
-    rows = lines[1:] if has_head else lines
-    # numpy's reader warns when there is no data, and strips \x1f, which float() keeps.
-    if any(rows) and not any("\x1f" in r for r in rows):
+def _bulk(rows: list[str], delimiter):
+    """The matrix numpy's reader makes of ``rows`` when it takes each as one row, else None."""
+    # numpy's reader warns when every row is blank, and strips \x1f, which float() keeps.
+    if any(r.strip() for r in rows) and not any("\x1f" in r for r in rows):
         try:
-            m = np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2)
+            m = np.loadtxt(rows, dtype=float, delimiter=delimiter, comments=None, ndmin=2)
         except ValueError:
             return None
         if len(m) == len(rows):  # it skips blank lines; the line loop reads those texts
-            return m, (_csv_header(head) if has_head else None)
+            return m
     return None
 
 
@@ -86,7 +79,13 @@ def _loop_csv(lines: list[str], path: str):
 
 def _parse_csv(text: str, path: str) -> np.ndarray:
     lines = text.splitlines()
-    m, expected = _bulk_csv(lines) or _loop_csv(lines, path)
+    head = lines[0].strip() if lines else ""
+    has_head = head.startswith("#")
+    m = _bulk(lines[1:] if has_head else lines, ",")
+    if m is None:
+        m, expected = _loop_csv(lines, path)
+    else:
+        expected = _csv_header(head) if has_head else None
     if expected is not None and m.shape != expected:
         raise ParseError(f"{path}: header says {expected}, data is {m.shape}")
     return m
@@ -104,24 +103,6 @@ def _mtx_dims(line: str) -> tuple[int, int]:
     except ValueError:
         pass
     raise ValueError(f"size line {line.strip()!r} is not two nonnegative integers")
-
-
-def _bulk_mtx(text: str):
-    """(values, dims) when line 2 is the size line and no later line is a comment, else None.
-
-    Lines 1 and 2 are cut off at the boundaries ``str.splitlines`` uses, and
-    ``str.split`` treats each of those as whitespace, so the rest splits into
-    the same tokens as its lines would, without a string per line.
-    """
-    head = _LINE_END.search(text)
-    size = head and _LINE_END.search(text, head.end())
-    if not size:
-        return None
-    try:
-        dims = _mtx_dims(text[head.end():size.start()])
-        return list(map(float, text[size.end():].split())), dims
-    except ValueError:
-        return None
 
 
 def _loop_mtx(lines: list[str], path: str):
@@ -144,15 +125,20 @@ def _loop_mtx(lines: list[str], path: str):
 
 
 def _parse_matrix_market(text: str, path: str) -> np.ndarray:
-    if not text:
+    lines = text.splitlines()
+    if not lines:
         raise ParseError(f"{path}: empty file")
-    head = _LINE_END.search(text)
-    fields = text[: head.start() if head else len(text)].lower().split()
+    fields = lines[0].lower().split()
     if len(fields) < 4 or fields[0] != "%%matrixmarket" or fields[1] != "matrix":
         raise ParseError(f"{path}: not a Matrix Market file")
     if fields[2] != "array" or fields[3] != "real":
         raise ParseError(f"{path}: only 'array real' Matrix Market files are supported")
-    values, (r, c) = _bulk_mtx(text) or _loop_mtx(text.splitlines(), path)
+    try:
+        dims = _mtx_dims(lines[1]) if len(lines) > 2 else None
+    except ValueError:
+        dims = None
+    m = _bulk(lines[2:], None) if dims else None
+    values, (r, c) = (m.ravel(), dims) if m is not None else _loop_mtx(lines, path)
     if len(values) != r * c:
         raise ParseError(f"{path}: expected {r * c} values, found {len(values)}")
     # Matrix Market array data runs down the columns.

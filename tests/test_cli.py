@@ -21,7 +21,7 @@ import pytest
 import eqkit
 from eqkit.cli import main
 from eqkit.doubly import dea
-from eqkit.errors import IoError, ParseError
+from eqkit.errors import InvalidAlpha, InvalidAngle, IoError, ParseError
 from eqkit.io import read_matrix, write_matrix
 
 
@@ -493,7 +493,8 @@ def test_overflow_warnings_stay_off_stderr(tmp_path, capsys, huge, argv, code, e
 @pytest.mark.parametrize(
     "text, failed",
     [
-        ("# 4 2\n0,0\n0,0\n0,0\n1.0000000000000001e+300,1.0000000000000001e+300\n", ["unit_norms", "tight"]),
+        ("# 4 2\n0,0\n0,0\n0,0\n1.0000000000000001e+300,1.0000000000000001e+300\n",
+         ["unit_norms", "constant_coherence", "tight"]),
         ("# 1 3\n1e+160,5.879634035404517e+147,5.879634035404517e+147\n",
          ["unit_norms", "constant_coherence", "tight"]),
     ],
@@ -508,6 +509,40 @@ def test_etf_coherence_warnings_stay_off_stderr(tmp_path, text, failed):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert _strict(proc.stdout)["etf"] == {"ok": False, "failed": failed, "coherence": None,
                                            "frame_constant": None}
+
+
+@pytest.mark.parametrize("text", ["# 2 3\n1e300,1e300,0\n0,0,1\n", "# 2 2\n1e300,1e300\n0,0\n"],
+                         ids=["welch_branch", "square"])
+def test_check_of_overflowed_cosines_fails_constant_coherence(tmp_path, capsys, text):
+    """An overflowed |cosine| made the coherence spread NaN, which passed the
+    constant-coherence test and reached the Welch-bound test instead."""
+    p = tmp_path / "m.csv"
+    p.write_text(text)
+    code, rep, err = run_cli(capsys, "check", p)
+    assert (code, err) == (0, "")
+    assert rep["etf"]["failed"] == ["unit_norms", "constant_coherence", "tight"]
+
+
+@pytest.mark.parametrize("angle, code", [
+    (["--alpha", "-0.6"], InvalidAlpha.exit_code),
+    (["--alpha", "0.9999999999"], InvalidAlpha.exit_code),
+    (["--theta", "150"], InvalidAlpha.exit_code),
+    (["--theta", "180"], InvalidAngle.exit_code),
+    ([], InvalidAngle.exit_code),
+])
+def test_sr_and_dea_reject_a_cosine_alike(tmp_path, capsys, angle, code):
+    """sr exited 13 with its own message where dea exits 14 with GramParams'
+    for a cosine that three columns cannot share."""
+    p = tmp_path / "a3.csv"
+    write_matrix(p, np.eye(3) + 0.1)
+    errs = []
+    for command in ("sr", "dea"):
+        got, rep, err = run_cli(capsys, command, p, *angle, "--out", f"{tmp_path}/o_")
+        assert (got, rep) == (code, None)
+        assert err.startswith(f"eqkit {command}: ") and err.count("\n") == 1
+        errs.append(err.split(": ", 1)[1])
+    assert errs[0] == errs[1]
+    assert not list(tmp_path.glob("o_*"))
 
 
 def test_overflowed_threshold_is_null(tmp_path, capsys):

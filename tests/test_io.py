@@ -8,6 +8,8 @@ message, line number included.
 """
 
 import os
+import sys
+import unicodedata
 
 import numpy as np
 import pytest
@@ -269,12 +271,13 @@ def test_bad_token_message_names_its_line(tmp_path):
         read_matrix(str(p))
 
 
-# ---- CSV: where numpy's reader and float() could differ ---------------------
+# ---- where numpy's reader and float() could differ -------------------------
 
 # numpy's reader parses each field with the function float() uses, but it
 # refuses non-ASCII text and '_', skips blank lines and strips \x1f as
 # whitespace.  Whatever it refuses or skips, and any row holding \x1f, is left
-# to the line loop.
+# to the line loop.  The CSV rows come first, then the .mtx rows.
+MM = "%%MatrixMarket matrix array real general\n"
 C_READER_EDGES = [
     ("quote", '"1",2\n3,4\n'),
     ("NUL", "1,2\n3,\x004\n"),
@@ -306,14 +309,77 @@ C_READER_EDGES = [
     ("overflow", "1e999,2\n"),
     ("nan_signed", "-nan,2\n"),
     ("inside_space", "1 2,3\n"),
+    ("mtx_quote", MM + '2 1\n"1"\n2\n'),
+    ("mtx_NUL", MM + "2 1\n1\n\x002\n"),
+    ("mtx_BOM", MM + "2 1\n\ufeff1\n2\n"),
+    ("mtx_BOM_before_banner", "\ufeff" + MM + "1 1\n1\n"),
+    ("mtx_arabic_digit", MM + "2 1\n\u0661\n2\n"),
+    ("mtx_underscore", MM + "2 1\n1_0\n2\n"),
+    ("mtx_nan_payload", MM + "2 1\nnan(1)\n2\n"),
+    ("mtx_hex_float", MM + "2 1\n0x1p3\n2\n"),
+    ("mtx_comma", MM + "2 1\n1,2\n"),
+    ("mtx_hash_comment", MM + "1 1\n# 5\n"),
+    ("mtx_comment_after_data", MM + "1 1\n5\n% end\n"),
+    ("mtx_tab", MM + "2 1\n\t1\t\n2\n"),
+    ("mtx_tab_between", MM + "1 2\n1\t2\n"),
+    ("mtx_unit_separator_at_line_ends", MM + "2 1\n\x1f1\x1f\n2\n"),
+    ("mtx_unit_separator_between", MM + "1 2\n1\x1f2\n"),  # str.split splits at it
+    ("mtx_no_break_space_between", MM + "1 2\n1\xa02\n"),
+    ("mtx_ideographic_space", MM + "2 1\n\u30001\n2\u3000\n"),
+    ("mtx_CRLF", MM.replace("\n", "\r\n") + "2 1\r\n1\r\n2\r\n"),
+    ("mtx_blank_row", MM + "2 1\n1\n\n2\n"),
+    ("mtx_whitespace_row", MM + "2 1\n1\n \t \n2\n"),
+    ("mtx_whitespace_row_last", MM + "1 1\n5\n   \n"),
+    ("mtx_whitespace_body", MM + "1 1\n \n"),  # numpy would warn "input contained no data"
+    ("mtx_whitespace_body_rows", MM + "1 1\n\t\n \n\n"),
+    ("mtx_whitespace_body_empty_matrix", MM + "0 0\n \n"),
+    ("mtx_empty_matrix", MM + "0 3\n"),
+    ("mtx_ragged_rows", MM + "2 3\n1 2 3\n4 5\n6\n"),
+    ("mtx_one_row", MM + "2 2\n1 3 2 4\n"),
+    ("mtx_size_line_last", MM + "1 1"),
+    ("mtx_signs_and_case", MM + "6 1\n+5\n-0.0\n.5\n5.\n1E-3\n-4.9e-324\n"),
+    ("mtx_overflow", MM + "1 1\n1e999\n"),
+    ("mtx_nan_signed", MM + "1 1\n-nan\n"),
 ]
 
 
-@pytest.mark.parametrize("text", [t for _, t in C_READER_EDGES], ids=[i for i, _ in C_READER_EDGES])
-def test_csv_reader_matches_the_line_loop_where_numpy_and_float_differ(tmp_path, text):
-    p = tmp_path / "m.csv"
+@pytest.mark.parametrize("name, text", [("m.mtx" if i.startswith("mtx_") else "m.csv", t) for i, t in C_READER_EDGES],
+                         ids=[i for i, _ in C_READER_EDGES])
+def test_reader_matches_the_line_loop_where_numpy_and_float_differ(tmp_path, name, text):
+    p = tmp_path / name
     p.write_text(text, encoding="utf-8", newline="")
     assert_same_read(p)
+
+
+# Every code point that is Latin-1, whitespace, a decimal digit or a control or
+# format character, placed before, inside, after and instead of a value.
+SWEEP_CODE_POINTS = [chr(c) for c in range(sys.maxunicode + 1)
+                     if c < 256 or chr(c).isspace() or chr(c).isdecimal()
+                     or unicodedata.category(chr(c)) in ("Cc", "Cf")]
+SWEEP_PLACES = {
+    "m.csv": ["{}1,2\n3,4\n", "1,{}2\n3,4\n", "1,2{}\n3,4\n", "1{}0,2\n3,4\n", "{},2\n3,4\n",
+              "# 2 2\n1,2\n{}\n3,4\n"],
+    "m.mtx": [MM + "2 1\n{}1\n2\n", MM + "2 1\n1{}\n2\n", MM + "1 2\n1{}2\n", MM + "2 1\n1{}0\n2\n",
+              MM + "1 1\n{}\n", MM + "2 1\n1\n{}\n2\n", MM + "1 1\n5\n{}\n"],
+}
+
+
+def parse_outcome(parse, text, name):
+    try:
+        return "ok", bits(parse(text, name)).tolist()
+    except ParseError as exc:
+        return "ParseError", str(exc)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(SWEEP_PLACES))
+def test_code_point_sweep_matches_the_line_loop(name):
+    """Each text is parsed as it is, without a file's newline translation."""
+    new, ref = ((eqio._parse_matrix_market, ref_parse_matrix_market) if name == "m.mtx"
+                else (eqio._parse_csv, ref_parse_csv))
+    bad = [(place, ch) for place in SWEEP_PLACES[name] for ch in SWEEP_CODE_POINTS
+           if parse_outcome(new, place.format(ch), name) != parse_outcome(ref, place.format(ch), name)]
+    assert bad == [], f"{len(bad)} mismatches, first {bad[:5]}"
 
 
 # ---- the bulk paths are the ones taken -------------------------------------
@@ -332,10 +398,11 @@ def test_written_files_are_read_without_the_line_loop(tmp_path, rng, monkeypatch
     assert np.array_equal(read_matrix(p), M)
 
 
+@pytest.mark.parametrize("ext, loop", [("csv", "_loop_csv"), ("mtx", "_loop_mtx")])
 @pytest.mark.parametrize("shape", [(30, 20), (1, 5), (5, 1), (1, 1)])
-def test_written_csv_is_one_loadtxt_call(tmp_path, rng, monkeypatch, shape):
+def test_written_file_is_one_loadtxt_call(tmp_path, rng, monkeypatch, ext, loop, shape):
     M = rng.standard_normal(shape)
-    p = str(tmp_path / "m.csv")
+    p = str(tmp_path / f"m.{ext}")
     write_matrix(p, M)
     calls = []
     loadtxt = np.loadtxt
@@ -345,7 +412,7 @@ def test_written_csv_is_one_loadtxt_call(tmp_path, rng, monkeypatch, shape):
         return loadtxt(*args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", counted)
-    monkeypatch.setattr(eqio, "_loop_csv", None)  # never reached
+    monkeypatch.setattr(eqio, loop, None)  # never reached
     back = read_matrix(p)
     assert len(calls) == 1
     assert back.shape == M.shape and np.array_equal(bits(back), bits(M))
@@ -359,17 +426,18 @@ LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u
 
 @pytest.mark.parametrize("head_end", LINE_ENDS, ids=[repr(e) for e in LINE_ENDS])
 def test_mtx_header_and_size_line_end_in_any_line_boundary(tmp_path, monkeypatch, head_end):
-    """The bulk reader cuts lines 1 and 2 off where splitlines would.  Reading a
-    file turns \\r and \\r\\n into \\n, so the text is also parsed as it is."""
+    """The bulk reader takes the header, size and data lines where splitlines
+    ends them.  Reading a file turns \\r and \\r\\n into \\n, so the text is
+    also parsed as it is."""
     p = tmp_path / "m.mtx"
     head = "%%MatrixMarket matrix array real general" + head_end
     for size_end in LINE_ENDS:
         text = f"{head}2 2{size_end}1 3{size_end}2 4{head_end}"
-        assert eqio._bulk_mtx(text) == ([1.0, 3.0, 2.0, 4.0], (2, 2))
         p.write_text(text, encoding="utf-8", newline="")
         assert_same_read(p)
         with monkeypatch.context() as m:
             m.setattr(eqio, "_loop_mtx", None)  # the bulk path reads it
+            assert np.array_equal(eqio._parse_matrix_market(text, "m.mtx"), [[1.0, 2.0], [3.0, 4.0]])
             assert np.array_equal(read_matrix(str(p)), [[1.0, 2.0], [3.0, 4.0]])
         for bad in ["2 2 2", "", "% c"]:  # fall back to the line loop
             p.write_text(f"{head}{bad}{size_end}1 3{size_end}2 4\n", encoding="utf-8", newline="")
