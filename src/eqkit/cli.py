@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .doubly import certify_doubly, dea, row_sum_params
-from .ea import EquiangularMatrix, _sr_factors, certify_equiangular
+from .ea import EquiangularMatrix, _off_diagonal, _sr_factors, certify_equiangular
 from .ea import sr_decompose  # noqa: F401  perfbench/spans.py traces eqkit.cli.sr_decompose
 from .errors import EqkitError, InvalidAlpha, InvalidAngle, InvalidTolerance, IoError, NotEquiangular
 from .factor import alpha_real_root_bound, sdst_factor
@@ -210,10 +210,9 @@ def cmd_frame(args) -> int:
     S = read_matrix(paths["S"])
     n = args.n
     G = S.T @ S
-    off = G[~np.eye(n + 1, dtype=bool)]
     ff = S @ S.T
     checks = {
-        "gram_offdiag": _check(np.max(np.abs(off + 1.0 / n)), args.tol),
+        "gram_offdiag": _check(np.max(np.abs(_off_diagonal(G) + 1.0 / n)), args.tol),
         "unit_columns": _check(np.max(np.abs(np.diag(G) - 1.0)), args.tol),
         "row_sums": _check(np.max(np.abs(S.sum(axis=1))), args.tol),
         "tight": _check(spectral_norm(ff - (n + 1.0) / n * np.eye(n)), args.tol),

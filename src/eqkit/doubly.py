@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ea import _gram_cosine, _sr_factors
+from .ea import _gram_cosine, _sr_frame
 from .ea import certify_equiangular, sr_decompose  # noqa: F401  perfbench/spans.py traces eqkit.doubly.*
 from .errors import OutOfRange, RankDeficient, Singular
 from .gram import GramParams, gram_eigenvalues, gram_principal_sqrt
@@ -57,15 +57,14 @@ def dea(A, alpha: float) -> DoublyEquiangular:
     n = A.shape[0]
     _, c = row_sum_params(n, alpha)
     try:
-        S = _sr_factors(A, math.acos(alpha))[0].mat
+        S = _sr_frame(A, math.acos(alpha))[0].mat
     except RankDeficient as exc:
         raise Singular(str(exc)) from exc
     u = S.sum(axis=1) - c
     nu = float(u @ u)
-    if math.sqrt(nu) <= SKIP_REFLECTION_TOL * math.sqrt(n):
-        return DoublyEquiangular(S, float(alpha))
-    Sb = S - np.outer(u, (2.0 / nu) * (u @ S))
-    return DoublyEquiangular(Sb, float(alpha))
+    if math.sqrt(nu) > SKIP_REFLECTION_TOL * math.sqrt(n):
+        S -= np.outer(u, (2.0 / nu) * (u @ S))
+    return DoublyEquiangular(S, float(alpha))
 
 
 def certify_doubly(M, tol: float = 1e-8):

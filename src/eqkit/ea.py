@@ -147,6 +147,19 @@ def sr_decompose(A, theta: float) -> SRDecomposition:
 
 def _sr_factors(A, theta: float) -> tuple[EquiangularMatrix, np.ndarray]:
     """The factors S and R of ``sr_decompose`` for an ``as_matrix`` A, without the residual."""
+    S, R, d, o = _sr_frame(A, theta)
+    # R = T^-1 R_qr in place: row i is (R_qr[i] - o_i * sum of the later rows of R) / d_i.
+    below = np.zeros(len(d))
+    for i in range(len(d) - 1, -1, -1):
+        row = R[i]
+        row -= o[i] * below
+        row /= d[i]
+        below += row
+    return S, R
+
+
+def _sr_frame(A, theta: float):
+    """S = Q T of ``sr_decompose`` for an ``as_matrix`` A, R_qr of A = Q R_qr, and T's d_k and o_k."""
     m = A.shape[1]
     alpha = math.cos(theta)
     if abs(alpha) < 1e-15:
@@ -165,17 +178,7 @@ def _sr_factors(A, theta: float) -> tuple[EquiangularMatrix, np.ndarray]:
     np.cumsum(S, axis=1, out=S)
     Q *= (1.0 - a) / d  # d_j - o_j, without the cancellation
     S += Q
-    del Q
-
-    # R = T^-1 R_qr by back-substitution: row i is
-    # (R_qr[i] - o_i * sum of the later rows of R) / d_i, overwriting R_qr.
-    below = np.zeros(m)
-    for i in range(m - 1, -1, -1):
-        row = R[i]
-        row -= o[i] * below
-        row /= d[i]
-        below += row
-    return EquiangularMatrix(S, alpha), R
+    return EquiangularMatrix(S, alpha), R, d, o
 
 
 def triangular_equiangular(p: GramParams) -> EquiangularMatrix:
@@ -186,11 +189,21 @@ def triangular_equiangular(p: GramParams) -> EquiangularMatrix:
     and o_k in all later columns (formulas in the module docstring).
     alpha = 0 yields the identity.
     """
-    n, a = p.n, p.alpha
-    d, o = _cholesky_entries(np.arange(1, n + 1), a)
-    m = np.triu(np.repeat(o[:, None], n, axis=1), 1)
-    m[np.diag_indices(n)] = d
-    return EquiangularMatrix(m, a)
+    d, o = _cholesky_entries(np.arange(1, p.n + 1), p.alpha)
+    return EquiangularMatrix(_constant_rows(d, o, p.n), p.alpha)
+
+
+def _constant_rows(d: np.ndarray, v: np.ndarray, cols: int) -> np.ndarray:
+    """Upper triangular len(d) x cols, d_i at (i, i) and v_i right of it, with no temporary of its size."""
+    later = np.triu(np.ones((64, 64), dtype=bool), 1)  # j > i within a block
+    T = np.empty((len(d), cols))
+    for r in range(0, len(d), 64):  # 64 rows at a time: zeros, their triangle, v_i to the end
+        e = min(r + 64, len(d))
+        T[r:e, :e] = 0.0
+        np.copyto(T[r:e, r:e], v[r:e, None], where=later[: e - r, : e - r])
+        T[r:e, e:] = v[r:e, None]
+    T[np.diag_indices(len(d))] = d
+    return T
 
 
 def certify_equiangular(M, tol: float = 1e-8):
@@ -214,16 +227,21 @@ def _gram_cosine(G: np.ndarray, tol: float):
         return None
     if m == 1:
         return 0.0
-    mean, constant = _near_constant(G[~np.eye(m, dtype=bool)], tol)
+    mean, constant = _near_constant(_off_diagonal(G), tol)
     return mean if constant else None
 
 
+def _off_diagonal(G: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of a C-contiguous m x m G, row by row, as an (m-1) x m view into G."""
+    return G.reshape(-1)[1:].reshape(len(G) - 1, len(G) + 1)[:, :len(G)]
+
+
 def _near_constant(off: np.ndarray, tol: float) -> tuple[float, bool]:
-    """The mean of ``off`` and whether every entry lies within ``tol`` of it; overwrites ``off``."""
+    """The mean of ``off`` and whether every entry lies within ``tol`` of it; reads ``off`` only."""
     with np.errstate(over="ignore", invalid="ignore"):  # near 1e300 the mean overflows, inf - inf is nan
-        mean = float(off.mean())
-        off -= mean
-    return mean, float(np.max(np.abs(off, out=off))) <= tol  # a NaN spread fails
+        mean = float(np.ravel(off).mean())  # summed flat: numpy sums a strided view in another order
+    # Rounding is monotone, so these two decide as max|off - mean| <= tol would; a NaN fails.
+    return mean, float(off.max()) - mean <= tol and mean - float(off.min()) <= tol
 
 
 def polar_orthogonal_factor(S: EquiangularMatrix) -> np.ndarray:

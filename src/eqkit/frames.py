@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ea import EquiangularMatrix, _near_constant
+from .ea import EquiangularMatrix, _constant_rows, _near_constant, _off_diagonal
 from .errors import InvalidShape, NotSpanning
 from .kernel import as_matrix, norm2_at_most, sym_eig
 
@@ -36,7 +36,7 @@ class SimplexFrame:
 
 
 def simplex_frame(n: int) -> SimplexFrame:
-    """The n-dimensional simplex frame, in closed form.
+    """The n-dimensional simplex frame in closed form, with no temporary of its size.
 
     Row i (0-based) has c_i = sqrt((n+1)(n-i) / (n(n-i+1))) on the diagonal,
     -c_i/(n-i) in every later column and zeros before it; row 0 is
@@ -49,9 +49,7 @@ def simplex_frame(n: int) -> SimplexFrame:
     n = int(n)
     rest = n - np.arange(n)  # n - i
     c = np.sqrt((n + 1.0) * rest / (n * (rest + 1.0)))
-    S = np.triu(np.repeat((-c / rest)[:, None], n + 1, axis=1), 1)
-    S[np.diag_indices(n)] = c
-    return SimplexFrame(S, n, -1.0 / n)
+    return SimplexFrame(_constant_rows(c, -c / rest, n + 1), n, -1.0 / n)
 
 
 def _vectors_of(F) -> np.ndarray:
@@ -91,17 +89,12 @@ def is_etf(F: FrameSet, tol: float = 1e-8) -> EtfReport:
         G = V.T @ V
     if float(np.max(np.abs(np.diag(G) - 1.0))) > tol:
         failed.append("unit_norms")
-    off = np.abs(G[~np.eye(m, dtype=bool)])
+    coherence, constant = _near_constant(_off_diagonal(np.abs(G, out=G)), tol) if m > 1 else (0.0, True)
+    if not constant:
+        failed.append("constant_coherence")
+    elif m > n and abs(coherence - welch_alpha(n, m)) > tol:
+        failed.append("welch_bound")
     del G  # freed before the frame operator W is formed
-    if m > 1:
-        coherence, constant = _near_constant(off, tol)
-        if not constant:
-            failed.append("constant_coherence")
-        elif m > n and abs(coherence - welch_alpha(n, m)) > tol:
-            failed.append("welch_bound")
-    else:
-        coherence = 0.0
-    del off
     with np.errstate(over="ignore"):
         W = V @ V.T
     frame_constant = float(np.trace(W)) / n

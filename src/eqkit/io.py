@@ -41,10 +41,10 @@ def _csv_header(line: str):
     return None
 
 
-def _bulk(rows: list[str], delimiter):
-    """The matrix numpy's reader makes of ``rows`` when it takes each as one row, else None."""
-    # numpy's reader warns when every row is blank, and strips \x1f, which float() keeps.
-    if any(r.strip() for r in rows) and not any("\x1f" in r for r in rows):
+def _bulk(text: str, rows: list[str], delimiter):
+    """The matrix numpy's reader makes of ``rows``, lines of ``text``, taking each as one row; else None."""
+    # numpy's reader warns when every row is blank, and strips \x1f, which float() keeps and ends no line.
+    if any(r.strip() for r in rows) and not ("\x1f" in text and any("\x1f" in r for r in rows)):
         try:
             m = np.loadtxt(rows, dtype=float, delimiter=delimiter, comments=None, ndmin=2)
         except ValueError:
@@ -81,7 +81,7 @@ def _parse_csv(text: str, path: str) -> np.ndarray:
     lines = text.splitlines()
     head = lines[0].strip() if lines else ""
     has_head = head.startswith("#")
-    m = _bulk(lines[1:] if has_head else lines, ",")
+    m = _bulk(text, lines[1:] if has_head else lines, ",")
     if m is None:
         m, expected = _loop_csv(lines, path)
     else:
@@ -137,7 +137,7 @@ def _parse_matrix_market(text: str, path: str) -> np.ndarray:
         dims = _mtx_dims(lines[1]) if len(lines) > 2 else None
     except ValueError:
         dims = None
-    m = _bulk(lines[2:], None) if dims else None
+    m = _bulk(text, lines[2:], None) if dims else None
     values, (r, c) = (m.ravel(), dims) if m is not None else _loop_mtx(lines, path)
     if len(values) != r * c:
         raise ParseError(f"{path}: expected {r * c} values, found {len(values)}")

@@ -38,14 +38,15 @@ class InverseGeometry:
 
 
 def fast_inverse(S: EquiangularMatrix, ops: OpCounter | None = None) -> np.ndarray:
-    """Inverse of a square equiangular matrix in O(n^2) arithmetic."""
+    """Inverse of a square equiangular matrix in O(n^2) arithmetic and no n x n temporary."""
     M = as_matrix(S.mat)
     n = M.shape[0]
     if n != M.shape[1]:
         raise NotSquare("structured inverse is defined for square systems")
     d = dual_params(GramParams(n, S.alpha))
-    rowsums = M.sum(axis=1)
-    inv = d.beta * ((1.0 - d.alpha_prime) * M.T + d.alpha_prime * rowsums[None, :])
+    inv = np.multiply(M.T, 1.0 - d.alpha_prime)
+    inv += d.alpha_prime * M.sum(axis=1)
+    inv *= d.beta
     if ops is not None:
         # row sums: n(n-1) adds; scale/add/scale: 3n^2 + n multiplies and adds
         ops.add(n * (n - 1) + 3 * n * n + n)
