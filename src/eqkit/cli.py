@@ -21,7 +21,15 @@ from . import __version__
 from .doubly import certify_doubly, dea, row_sum_params
 from .ea import EquiangularMatrix, _off_diagonal, _sr_factors, certify_equiangular
 from .ea import sr_decompose  # noqa: F401  perfbench/spans.py traces eqkit.cli.sr_decompose
-from .errors import EqkitError, InvalidAlpha, InvalidAngle, InvalidTolerance, IoError, NotEquiangular
+from .errors import (
+    EqkitError,
+    InvalidAlpha,
+    InvalidAngle,
+    InvalidShape,
+    InvalidTolerance,
+    IoError,
+    NotEquiangular,
+)
 from .factor import alpha_real_root_bound, sdst_factor
 from .frames import FrameSet, is_etf, simplex_frame, welch_alpha
 from .gram import GramParams, gram_matrix
@@ -84,12 +92,21 @@ def _resolve_alpha(args) -> float:
     return math.cos(math.radians(args.theta))
 
 
+def _read_input(args) -> np.ndarray:
+    """The input matrix; InvalidShape, before any output is written, when it has no rows or no columns."""
+    A = read_matrix(args.input)
+    if 0 in A.shape:
+        r, c = A.shape
+        raise InvalidShape(f"{args.input} is a {r} x {c} matrix; it needs at least one row and one column")
+    return A
+
+
 def _out_path(args, name: str) -> str:
     return f"{args.out}{name}.{args.format}"
 
 
 def cmd_sr(args) -> int:
-    A = read_matrix(args.input)
+    A = _read_input(args)
     alpha = _resolve_alpha(args)
     if A.shape[1] >= 2:
         GramParams(A.shape[1], alpha)  # InvalidAlpha, as dea raises, for a cosine the columns cannot share
@@ -100,6 +117,8 @@ def cmd_sr(args) -> int:
     S, R = read_matrix(paths["S"]), read_matrix(paths["R"])
     scale = max(1.0, spectral_norm(A))
     cert = certify_equiangular(S, args.tol)
+    if cert is not None and S.shape[1] == 1:
+        cert = alpha  # one unit vector is equiangular at every cosine
     checks = {
         "sr_residual": _check(spectral_norm(A - S @ R), args.tol * scale),
         "alpha_certified": _check(abs((cert if cert is not None else np.inf) - alpha), args.tol),
@@ -113,7 +132,7 @@ def cmd_inverse(args) -> int:
         return _bench_inverse(args)
     if not args.input:
         raise InvalidAngle("inverse needs an input file (or --bench)")
-    M = read_matrix(args.input)
+    M = _read_input(args)
     alpha = certify_equiangular(M, args.tol)
     if alpha is None:
         raise NotEquiangular(f"{args.input} does not certify as equiangular at tol {args.tol}")
@@ -160,7 +179,7 @@ def _bench_inverse(args) -> int:
 
 
 def cmd_sdst(args) -> int:
-    A = read_matrix(args.input)
+    A = _read_input(args)
     if args.find_alpha_bound:
         _, w = sym_eig(A)
         bound = alpha_real_root_bound(w)
@@ -175,7 +194,7 @@ def cmd_sdst(args) -> int:
     d = read_matrix(paths["D"]).ravel()
     scale = max(1.0, spectral_norm(A))
     checks = {
-        "sdst_residual": _check(spectral_norm(S @ np.diag(d) @ S.T - A), max(args.tol, 1e-7) * scale),
+        "sdst_residual": _check(spectral_norm((S * d) @ S.T - A), max(args.tol, 1e-7) * scale),
         "trace_match": _check(abs(d.sum() - np.trace(A)), 1e-8 * scale),
     }
     extra = {"parameters": {"alpha": args.alpha}, "d": [float(x) for x in fac.D]}
@@ -183,7 +202,7 @@ def cmd_sdst(args) -> int:
 
 
 def cmd_dea(args) -> int:
-    A = read_matrix(args.input)
+    A = _read_input(args)
     alpha = _resolve_alpha(args)
     out = dea(A, alpha)
     paths = {"S": _out_path(args, "S")}
@@ -245,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 sp.add_argument("input", help="matrix file (.csv or .mtx)")
         sp.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
-        sp.add_argument("--seed", type=int, default=0, help="seed for synthetic inputs")
         sp.add_argument("--out", default="eqkit_", help="output file prefix")
         sp.add_argument("--format", choices=("csv", "mtx"), default="csv", help="output format")
 
@@ -263,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, optional_input=True)
     sp.add_argument("--method", choices=("fast", "generic"), default="fast")
     sp.add_argument("--bench", action="store_true", help="size sweep benchmark instead of a file")
+    sp.add_argument("--seed", type=int, default=0, help="seed of the --bench matrices")
     sp.set_defaults(func=cmd_inverse)
 
     sp = sub.add_parser("sdst", help="factor symmetric A = S diag(d) S^T")

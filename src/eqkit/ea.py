@@ -261,5 +261,5 @@ def random_equiangular(n: int, alpha: float, rng=None, m: int | None = None) -> 
     rng = np.random.default_rng(rng)
     m = n if m is None else m
     q, _ = qr(rng.standard_normal((n, m)))
-    _, sbar = gram_principal_sqrt(GramParams(m, alpha))
-    return EquiangularMatrix(q @ sbar, float(alpha))
+    sp, _ = gram_principal_sqrt(GramParams(m, alpha))
+    return EquiangularMatrix(sp.right_multiply(q), float(alpha))

@@ -31,6 +31,7 @@ from .errors import (
     ComplexSpectrum,
     DegreeZero,
     InvalidAlpha,
+    InvalidShape,
     MultiplicityUnsupported,
     NonRealRoots,
     OutOfRange,
@@ -202,16 +203,6 @@ def _fix_column_signs(Q: np.ndarray) -> np.ndarray:
     return Q * signs
 
 
-def _householder_swap(n: int, p: int) -> np.ndarray:
-    """Reflection exchanging the normalized all-ones direction with e_p."""
-    u = np.full(n, 1.0 / math.sqrt(n))
-    u[p] -= 1.0
-    nu = float(u @ u)
-    if nu < 1e-30:
-        return np.eye(n)
-    return np.eye(n) - (2.0 / nu) * np.outer(u, u)
-
-
 def two_eigenvalue_factor(A) -> tuple[float, EquiangularMatrix]:
     """Closed-form A = r S S^T for the (n-1, 1) two-eigenvalue pattern.
 
@@ -247,11 +238,14 @@ def two_eigenvalue_factor(A) -> tuple[float, EquiangularMatrix]:
         alpha = d.alpha_prime
         r = d.beta / r_inv
 
-    p = n - 1 if lam2 > lam1 else 0  # position of the simple eigenvalue, ascending
-    Qf = _fix_column_signs(Q)
-    _, sbar = gram_principal_sqrt(GramParams(n, alpha))
-    S = Qf @ _householder_swap(n, p) @ sbar
-    return float(r), EquiangularMatrix(S, float(alpha))
+    # The reflection I - 2 u u^T / (u^T u) exchanges e / sqrt(n) with e_p, p the
+    # position of the simple eigenvalue; n >= 2 keeps u^T u = 2 - 2 / sqrt(n) away from 0.
+    u = np.full(n, 1.0 / math.sqrt(n))
+    u[n - 1 if lam2 > lam1 else 0] -= 1.0
+    X = _fix_column_signs(Q)
+    X -= np.outer(X @ u, (2.0 / float(u @ u)) * u)
+    sp, _ = gram_principal_sqrt(GramParams(n, alpha))
+    return float(r), EquiangularMatrix(sp.right_multiply(X), float(alpha))
 
 
 def sdst_factor(A, alpha: float) -> SDSTFactorization:
@@ -267,6 +261,8 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
 
     Raises
     ------
+    InvalidShape
+        A is smaller than 2 x 2: no two columns to share a cosine.
     NonRealRoots
         The polynomial for this (spectrum, alpha) has non-real roots; no
         real factorization exists at this cosine.
@@ -278,9 +274,11 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
     A = require_square(as_matrix(A))
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"factorization cosine must lie in (0, 1), got {alpha!r}")
+    n = A.shape[0]
+    if n < 2:
+        raise InvalidShape(f"a basis at a common cosine needs n >= 2 columns, got a {n} x {n} matrix")
     Q, w = sym_eig(A)
-    n = w.size
-    scale = max(1.0, float(np.max(np.abs(w))) if n else 1.0)
+    scale = max(1.0, float(np.max(np.abs(w))))
     zero_mask = np.abs(w) <= CLUSTER_RTOL * scale
     nz = w[~zero_mask]
     n_zero = int(np.count_nonzero(zero_mask))
@@ -316,12 +314,11 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
         )
     d = np.sort(roots.real) * s
 
-    _, sbar = gram_principal_sqrt(pm)
-    M = sbar @ np.diag(d) @ sbar
-    Qm, mu = sym_eig(M)
+    sp, sbar = gram_principal_sqrt(pm)
+    Qm, mu = sym_eig(sp.right_multiply(sbar * d))  # sbar diag(d) sbar
     if float(np.max(np.abs(np.sort(mu) - np.sort(lam_nz)))) > 1e-7 * scale:
         raise NonRealRoots("recovered spectrum does not match the target within 1e-7")
-    S_block = _fix_column_signs(Qm).T @ sbar  # factors diag(lam_nz ascending)
+    S_block = sp.right_multiply(_fix_column_signs(Qm).T)  # factors diag(lam_nz ascending)
 
     S = S_block
     if n_zero:
@@ -334,7 +331,7 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
     d_full = np.concatenate([d, np.zeros(n_zero)])
 
     S_out = Qp @ S
-    residual = spectral_norm(S_out @ np.diag(d_full) @ S_out.T - A)
+    residual = spectral_norm((S_out * d_full) @ S_out.T - A)
     return SDSTFactorization(EquiangularMatrix(S_out, alpha), d_full, residual)
 
 
@@ -411,7 +408,7 @@ def equiangular_eigenvectors(A, tol: float = 1e-8):
     Q, R = np.linalg.qr(X)
     signs = np.where(np.diag(R) < 0, -1.0, 1.0)
     Q, R = Q * signs, R * signs[:, None]
-    T = R @ np.diag(w) @ np.linalg.inv(R)
+    T = (R * w) @ np.linalg.inv(R)
     t_norm = max(1.0, spectral_norm(T))
 
     for i in range(n - 1):

@@ -56,6 +56,12 @@ class SqrtParams:
         """Materialize (s - t) I + t ee^T."""
         return _ones_structured(n, self.s, self.t)
 
+    def right_multiply(self, X: np.ndarray) -> np.ndarray:
+        """X ((s - t) I + t ee^T) in closed form, (s - t) X + t (X e) e^T, without the root."""
+        out = (self.s - self.t) * X
+        out += self.t * X.sum(axis=1, keepdims=True)
+        return out
+
 
 def _ones_structured(n: int, diag: float, off: float) -> np.ndarray:
     m = np.full((n, n), off)

@@ -13,9 +13,10 @@ except ImportError:  # tests/test_fuzz_cli.py skips itself
 if settings is not None:
     # The fuzz tests run a few dozen derandomized examples in tier-1; CI runs
     # them again with ``--hypothesis-profile=ci``, which the hypothesis plugin
-    # loads after this module.  Neither profile keeps an example database.
+    # loads after this module.  Neither profile keeps an example database, so
+    # a failing CI run prints a ``@reproduce_failure`` line that replays it.
     settings.register_profile("tier1", max_examples=30, deadline=None, database=None, derandomize=True)
-    settings.register_profile("ci", max_examples=500, deadline=None, database=None)
+    settings.register_profile("ci", max_examples=500, deadline=None, database=None, print_blob=True)
     settings.load_profile("tier1")
 
 

@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 import eqkit
-from eqkit.cli import main
+from eqkit.cli import build_parser, main
 from eqkit.doubly import dea
-from eqkit.errors import InvalidAlpha, InvalidAngle, IoError, ParseError
+from eqkit.errors import InvalidAlpha, InvalidAngle, InvalidShape, IoError, ParseError
 from eqkit.io import read_matrix, write_matrix
 
 
@@ -135,6 +135,38 @@ def test_check_of_an_empty_mtx_exits_27(tmp_path, capsys, size):
     assert err.startswith("eqkit check: a frame needs at least one vector") and err.count("\n") == 1
 
 
+ZERO_DIMENSION_RUNS = {
+    "sr": ["sr", "--alpha", "0.3"],
+    "dea": ["dea", "--alpha", "0.3"],
+    "inverse": ["inverse"],
+    "sdst": ["sdst", "--alpha", "0.1"],
+    "sdst-bound": ["sdst", "--find-alpha-bound"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "mtx"])
+@pytest.mark.parametrize("size", ["3 0", "0 0"])
+@pytest.mark.parametrize("run", ZERO_DIMENSION_RUNS.values(), ids=ZERO_DIMENSION_RUNS.keys())
+def test_zero_dimension_input_exits_27_and_writes_nothing(tmp_path, capsys, run, size, fmt):
+    p = tmp_path / "empty.mtx"
+    p.write_text(f"%%MatrixMarket matrix array real general\n{size}\n")
+    command, *opts = run
+    code, rep, err = run_cli(capsys, command, p, *opts, "--format", fmt, "--out", f"{tmp_path}/o_")
+    assert (code, rep) == (InvalidShape.exit_code, None) == (27, None)
+    r, c = size.split()
+    assert err == f"eqkit {command}: {p} is a {r} x {c} matrix; it needs at least one row and one column\n"
+    assert [q.name for q in tmp_path.iterdir()] == ["empty.mtx"]
+
+
+def test_sdst_of_a_one_by_one_exits_27(tmp_path, capsys):
+    p = tmp_path / "one.csv"
+    write_matrix(p, [[2.0]])
+    code, rep, err = run_cli(capsys, "sdst", p, "--alpha", 0.1, "--out", f"{tmp_path}/o_")
+    assert (code, rep) == (27, None)
+    assert err == "eqkit sdst: a basis at a common cosine needs n >= 2 columns, got a 1 x 1 matrix\n"
+    assert [q.name for q in tmp_path.iterdir()] == ["one.csv"]
+
+
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(IoError):
         read_matrix(tmp_path / "nope.csv")
@@ -175,10 +207,32 @@ def test_sr_theta_in_degrees(tmp_path, capsys):
     assert np.abs(read_matrix(rep["outputs"]["S"]) - np.eye(3)).max() <= 1e-9
 
 
+@pytest.mark.parametrize("fmt", ["csv", "mtx"])
+@pytest.mark.parametrize(
+    "M, angle", [([[1.0], [2.0], [3.0]], ["--theta", 60]), ([[-4.0]], ["--alpha", 0.3])], ids=["3x1", "1x1"])
+def test_sr_of_one_column_certifies_at_the_requested_cosine(tmp_path, capsys, M, angle, fmt):
+    # One unit vector is equiangular at every cosine.
+    p = tmp_path / "col.csv"
+    write_matrix(p, M)
+    code, rep, _ = run_cli(capsys, "sr", p, *angle, "--format", fmt, "--out", f"{tmp_path}/")
+    assert code == 0 and rep["passed"] is True
+    assert rep["checks"]["alpha_certified"]["value"] == 0.0
+
+
 def test_sr_theta_alpha_exclusive(hfile):
     with pytest.raises(SystemExit) as exc:
         main(["sr", str(hfile), "--theta", "60", "--alpha", "0.5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["sr", "m.csv"], ["dea", "m.csv"], ["sdst", "m.csv"], ["frame", "--n", "2"],
+                                  ["check", "m.csv"]], ids=lambda argv: argv[0])
+def test_seed_is_an_inverse_option_only(capsys, argv):
+    assert build_parser().parse_args(["inverse", "--bench", "--seed", "3"]).seed == 3
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*argv, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_sr_angle_required(hfile, capsys):

@@ -10,6 +10,7 @@ from eqkit.errors import (
     ComplexSpectrum,
     DegreeZero,
     InvalidAlpha,
+    InvalidShape,
     MultiplicityUnsupported,
     NonRealRoots,
     NotSymmetric,
@@ -387,6 +388,13 @@ def test_sdst_alpha_validation():
         sdst_factor(np.diag([1.0, 2.0]), 0.0)
     with pytest.raises(InvalidAlpha):
         sdst_factor(np.diag([1.0, 2.0]), -0.3)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_sdst_needs_two_columns(n):
+    # Not MultiplicityUnsupported: a 1 x 1 or 0 x 0 A has no zero eigenvalue to blame.
+    with pytest.raises(InvalidShape, match=f"needs n >= 2 columns, got a {n} x {n} matrix"):
+        sdst_factor(2.0 * np.eye(n), 0.1)
 
 
 def test_sdst_needs_symmetry():

@@ -2,12 +2,15 @@
 
 Every run goes in-process through ``cli.main`` over all six subcommands, on
 small matrices with entries from 1e-300 to 1e300, zeros and repeated columns,
+half of them with one column and ``.mtx`` ones also with no rows or columns,
 on broken files (ragged, empty, not UTF-8, holding NaN, mangled text) and on
 extreme ``--alpha``, ``--theta``, ``--tol`` and ``--n``.  Whatever the input:
 
 * the exit code is 0, 1 or a documented code >= 10;
 * with 0 or 1, stdout is one strict (RFC 8259) JSON report;
-* otherwise stdout is empty and stderr is the one line ``eqkit <command>: ...``;
+* otherwise stdout is empty and stderr is the one line ``eqkit <command>: ...``,
+  which never names one of the run's own output files;
+* an ``sr`` report on a one-column S has ``alpha_certified`` 0.0 or null;
 * no exception escapes ``main``, which a console run would print as a
   traceback and exit 1;
 * no warning is issued, which a console run would print on stderr: each run
@@ -30,6 +33,7 @@ import pytest
 
 from eqkit import errors
 from eqkit.cli import main
+from eqkit.io import read_matrix
 from test_io import LINE_ENDS, assert_same_read
 
 given = pytest.importorskip("hypothesis").given
@@ -51,9 +55,10 @@ entries = st.one_of(
 
 
 @st.composite
-def matrices(draw, max_side=6, square=False):
-    r = draw(st.integers(1, max_side))
-    c = r if square else draw(st.integers(1, max_side))
+def matrices(draw, max_side=6, square=False, min_side=1):
+    """Matrices of min_side..max_side rows and columns, half of them with one column."""
+    c = draw(st.one_of(st.just(1), st.integers(min_side, max_side)))
+    r = c if square else draw(st.integers(min_side, max_side))
     if draw(st.booleans()):  # a well-conditioned base, scaled: most ops get past their checks
         M = np.eye(r, c) + 0.25 * np.array(draw(st.lists(
             st.floats(-1, 1), min_size=r * c, max_size=r * c))).reshape(r, c)
@@ -104,8 +109,8 @@ def input_files(draw, square=False):
     """(extension, bytes) of an input file: mostly well formed, some broken."""
     kind = draw(st.sampled_from(["matrix"] * 4 + ["mangled", "ragged", "empty", "latin-1", "nan"]))
     ext = draw(st.sampled_from(["csv", "mtx"]))
-    if kind == "matrix":
-        return ext, matrix_text(draw(matrices(square=square)), ext).encode()
+    if kind == "matrix":  # a .mtx size line may hold a 0; a CSV has at least one row
+        return ext, matrix_text(draw(matrices(square=square, min_side=0 if ext == "mtx" else 1)), ext).encode()
     if kind == "mangled":
         ext, text = draw(mangled_texts(square=square))
         return ext, text.encode()
@@ -132,6 +137,9 @@ def option(name, value):
 # ---- the contract ------------------------------------------------------------
 
 
+OUT = "out_"  # the prefix of every output file
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -145,7 +153,7 @@ def run(workdir, command, file=None, *options):
         path = workdir / f"input.{ext}"
         path.write_bytes(data)
         argv.append(str(path))
-    argv += [*options, f"--out={workdir}/out_"]
+    argv += [*options, f"--out={workdir}/{OUT}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would reach a console run's stderr
@@ -166,6 +174,7 @@ def assert_contract(command, code, out, err):
     else:
         assert out == ""
         assert err.startswith(f"eqkit {command}: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert f"/{OUT}" not in err, err  # a file the run wrote itself reads back: the input is to blame
 
 
 def angle_options(draw):
@@ -184,7 +193,12 @@ def common_options(draw):
 def test_sr_contract(workdir, data):
     file = data.draw(input_files())
     opts = angle_options(data.draw) + common_options(data.draw)
-    assert_contract("sr", *run(workdir, "sr", file, *opts))
+    code, out, err = run(workdir, "sr", file, *opts)
+    assert_contract("sr", code, out, err)
+    report = json.loads(out) if code in (0, 1) else None
+    if report and read_matrix(report["outputs"]["S"]).shape[1] == 1:
+        # One unit vector is equiangular at every cosine; a column off unit length certifies at none.
+        assert report["checks"]["alpha_certified"]["value"] in (0.0, None)
 
 
 @given(st.data())
