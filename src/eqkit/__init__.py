@@ -79,6 +79,7 @@ from .gram import (
     DualParams,
     GramParams,
     SqrtParams,
+    Structured,
     dual_params,
     gram_condition,
     gram_eigenvalues,

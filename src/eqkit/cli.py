@@ -30,9 +30,9 @@ from .errors import (
     IoError,
     NotEquiangular,
 )
-from .factor import alpha_real_root_bound, sdst_factor
+from .factor import _require_basis, alpha_real_root_bound, sdst_factor
 from .frames import FrameSet, is_etf, simplex_frame, welch_alpha
-from .gram import GramParams, gram_matrix
+from .gram import GramParams
 from .io import read_matrix, write_matrix
 from .kernel import generic_inverse, spectral_norm, sym_eig
 from .spectral import benchmark_inverse, fast_inverse, fit_exponent
@@ -182,6 +182,7 @@ def cmd_sdst(args) -> int:
     A = _read_input(args)
     if args.find_alpha_bound:
         _, w = sym_eig(A)
+        _require_basis(w.size)  # as sdst --alpha does: one column has no cosine to bound
         bound = alpha_real_root_bound(w)
         return _emit(_report("sdst", args, {}, {}, {"alpha_real_root_bound": bound}))
     if args.alpha is None:
@@ -210,10 +211,10 @@ def cmd_dea(args) -> int:
     S = read_matrix(paths["S"])
     n = S.shape[0]
     p, c = row_sum_params(n, alpha)
-    G = gram_matrix(p)[:n, :n]  # p.n is 2 when S is 1 x 1
+    G = p.operator  # p.n is 2 when S is 1 x 1: subtract_from takes G's leading block
     checks = {
-        "columns_gram": _check(spectral_norm(S.T @ S - G), args.tol * n),
-        "rows_gram": _check(spectral_norm(S @ S.T - G), args.tol * n),
+        "columns_gram": _check(spectral_norm(G.subtract_from(S.T @ S)), args.tol * n),
+        "rows_gram": _check(spectral_norm(G.subtract_from(S @ S.T)), args.tol * n),
         "row_sums": _check(np.max(np.abs(S.sum(axis=1) - c)), args.tol * n),
         "col_sums": _check(np.max(np.abs(S.sum(axis=0) - c)), args.tol * n),
     }

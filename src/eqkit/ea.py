@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateAngle, InvalidAngle, NotSquare
-from .gram import BOUNDARY_TOL, GramParams, gram_principal_sqrt, gram_sqrt_inverse
-from .gram import gram_inverse  # noqa: F401  perfbench/spans.py traces eqkit.ea.gram_inverse
+from .gram import BOUNDARY_TOL, GramParams
+from .gram import gram_inverse, gram_principal_sqrt, gram_sqrt_inverse  # noqa: F401  perfbench/spans.py traces them
 from .kernel import as_matrix, qr, spectral_norm
 
 # 1 + k*alpha at or below this margin means the obtuse angle is too wide.
@@ -247,13 +247,14 @@ def _near_constant(off: np.ndarray, tol: float) -> tuple[float, bool]:
 def polar_orthogonal_factor(S: EquiangularMatrix) -> np.ndarray:
     """Orthogonal factor Q of the polar-style splitting S = Q * sqrt(Gram).
 
-    Right-multiplying by the closed-form inverse principal root peels the
-    equiangular correlation off and leaves an orthogonal matrix.
+    Right-multiplying by the inverse principal root, applied in closed form
+    in O(n^2), peels the equiangular correlation off and leaves an orthogonal
+    matrix.
     """
     M = as_matrix(S.mat)
     if M.shape[0] != M.shape[1]:
         raise NotSquare("polar splitting is defined for square systems")
-    return M @ gram_sqrt_inverse(GramParams(M.shape[0], S.alpha))
+    return GramParams(M.shape[0], S.alpha).operator.sqrt().inverse().right_multiply(M)
 
 
 def random_equiangular(n: int, alpha: float, rng=None, m: int | None = None) -> EquiangularMatrix:
@@ -261,5 +262,4 @@ def random_equiangular(n: int, alpha: float, rng=None, m: int | None = None) -> 
     rng = np.random.default_rng(rng)
     m = n if m is None else m
     q, _ = qr(rng.standard_normal((n, m)))
-    sp, _ = gram_principal_sqrt(GramParams(m, alpha))
-    return EquiangularMatrix(sp.right_multiply(q), float(alpha))
+    return EquiangularMatrix(GramParams(m, alpha).operator.sqrt().right_multiply(q), float(alpha))

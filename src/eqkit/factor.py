@@ -37,7 +37,8 @@ from .errors import (
     OutOfRange,
     WrongSpectrum,
 )
-from .gram import GramParams, dual_params, gram_principal_sqrt
+from .gram import GramParams
+from .gram import dual_params, gram_principal_sqrt  # noqa: F401  perfbench/spans.py traces them
 from .kernel import (
     as_matrix,
     norm2_at_most,
@@ -207,10 +208,10 @@ def two_eigenvalue_factor(A) -> tuple[float, EquiangularMatrix]:
     """Closed-form A = r S S^T for the (n-1, 1) two-eigenvalue pattern.
 
     Requires a symmetric nonsingular A whose spectrum takes exactly two
-    values of the same sign, one of them simple.  When the simple value
-    dominates in magnitude the cosine comes straight from the spectrum;
-    otherwise the factorization is built on A^-1 and dualized, which lands
-    on a negative cosine.
+    values of the same sign, one of them simple.  r and the cosine come
+    straight from the spectrum of r G_alpha, lam1 = r (1 - alpha) repeated
+    and lam2 = r (1 + (n-1) alpha) simple; the cosine is negative when the
+    repeated value dominates in magnitude.
     """
     A = require_square(as_matrix(A))
     Q, w = sym_eig(A)
@@ -227,16 +228,8 @@ def two_eigenvalue_factor(A) -> tuple[float, EquiangularMatrix]:
     if lam1 * lam2 < 0:
         raise WrongSpectrum("the two eigenvalues must share a sign")
 
-    if abs(lam1) < abs(lam2):
-        alpha = (lam2 - lam1) / (lam2 - lam1 + n * lam1)
-        r = (lam2 - lam1 + n * lam1) / n
-    else:
-        m1, m2 = 1.0 / lam1, 1.0 / lam2  # now |m1| < |m2|
-        a_inv = (m2 - m1) / (m2 - m1 + n * m1)
-        r_inv = (m2 - m1 + n * m1) / n
-        d = dual_params(GramParams(n, a_inv))
-        alpha = d.alpha_prime
-        r = d.beta / r_inv
+    nr = lam2 + (n - 1) * lam1  # n r, a sum of like-signed terms
+    alpha, r = (lam2 - lam1) / nr, nr / n
 
     # The reflection I - 2 u u^T / (u^T u) exchanges e / sqrt(n) with e_p, p the
     # position of the simple eigenvalue; n >= 2 keeps u^T u = 2 - 2 / sqrt(n) away from 0.
@@ -244,8 +237,13 @@ def two_eigenvalue_factor(A) -> tuple[float, EquiangularMatrix]:
     u[n - 1 if lam2 > lam1 else 0] -= 1.0
     X = _fix_column_signs(Q)
     X -= np.outer(X @ u, (2.0 / float(u @ u)) * u)
-    sp, _ = gram_principal_sqrt(GramParams(n, alpha))
-    return float(r), EquiangularMatrix(sp.right_multiply(X), float(alpha))
+    return float(r), EquiangularMatrix(GramParams(n, alpha).operator.sqrt().right_multiply(X), float(alpha))
+
+
+def _require_basis(n: int) -> None:
+    """InvalidShape unless n >= 2: one column has no cosine to share with another."""
+    if n < 2:
+        raise InvalidShape(f"a basis at a common cosine needs n >= 2 columns, got a {n} x {n} matrix")
 
 
 def sdst_factor(A, alpha: float) -> SDSTFactorization:
@@ -275,8 +273,7 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"factorization cosine must lie in (0, 1), got {alpha!r}")
     n = A.shape[0]
-    if n < 2:
-        raise InvalidShape(f"a basis at a common cosine needs n >= 2 columns, got a {n} x {n} matrix")
+    _require_basis(n)
     Q, w = sym_eig(A)
     scale = max(1.0, float(np.max(np.abs(w))))
     zero_mask = np.abs(w) <= CLUSTER_RTOL * scale
@@ -305,7 +302,6 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
     Qp = Q[:, order]
     lam_nz = nz
 
-    pm = GramParams(m, alpha)
     lam_poly, s = _poly_scale(lam_nz)
     roots = _roots(lam_poly, alpha)
     if np.any(roots.imag != 0.0):
@@ -314,11 +310,11 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
         )
     d = np.sort(roots.real) * s
 
-    sp, sbar = gram_principal_sqrt(pm)
-    Qm, mu = sym_eig(sp.right_multiply(sbar * d))  # sbar diag(d) sbar
+    sbar = GramParams(m, alpha).operator.sqrt()
+    Qm, mu = sym_eig(sbar.right_multiply(sbar.left_multiply(np.diag(d))))  # sbar diag(d) sbar
     if float(np.max(np.abs(np.sort(mu) - np.sort(lam_nz)))) > 1e-7 * scale:
         raise NonRealRoots("recovered spectrum does not match the target within 1e-7")
-    S_block = sp.right_multiply(_fix_column_signs(Qm).T)  # factors diag(lam_nz ascending)
+    S_block = sbar.right_multiply(_fix_column_signs(Qm).T)  # factors diag(lam_nz ascending)
 
     S = S_block
     if n_zero:

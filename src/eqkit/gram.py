@@ -1,13 +1,16 @@
 """Closed-form algebra of the constant-cosine Gram matrix (1-a) I + a ee^T.
 
 A family of unit vectors whose pairwise inner products all equal ``alpha``
-has this Gram matrix; everything about it (eigenvalues, inverse, square
-roots, condition number) is available in closed form, and the rest of the
-package leans on these formulas instead of dense factorizations.
+has this Gram matrix.  It, its inverse and its square roots all lie in
+span{I, ee^T}; one operator, :class:`Structured`, carries every member of
+that family, and the functions below are thin views of the one for G_alpha.
+The rest of the package applies these matrices through it, in O(n^2), and
+builds none of them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +19,79 @@ from .errors import InvalidAlpha
 
 # Admissibility margin: alpha is accepted when min(1-a, a+1/(n-1)) exceeds this.
 BOUNDARY_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Structured:
+    """The n x n matrix s I + t (ee^T - I): s on the diagonal, t off it.
+
+    ``eigenvalues`` is (rep, simple) = (s - t, s + (n-1) t), held on e-perp
+    (n-1 times) and on e.  Each operator below derives all four numbers from
+    its parent's with no difference of nearly equal terms, so the entries of
+    the inverse and the principal roots of G_alpha are relative-accurate,
+    like its eigenvalues.
+    """
+
+    n: int
+    s: float
+    t: float
+    eigenvalues: tuple[float, float]
+
+    @classmethod
+    def gram(cls, n: int, alpha: float) -> Structured:
+        """I + alpha (ee^T - I) at any cosine; ``GramParams`` is where the range is checked."""
+        num, den = float(alpha).as_integer_ratio()
+        # 1 + (n-1) alpha rounded once, from integers: rounding (n-1) alpha first
+        # loses, near alpha = -1/(n-1), the digits the sum keeps.
+        return cls(n, 1.0, alpha, (1.0 - alpha, (den + (n - 1) * num) / den))
+
+    def inverse(self) -> Structured:
+        """The inverse: eigenvalues 1/rep and 1/simple, off-diagonal -t / (rep simple)."""
+        rep, simple = self.eigenvalues
+        t = -self.t / (rep * simple)
+        return Structured(self.n, 1.0 / rep + t, t, (1.0 / rep, 1.0 / simple))
+
+    def sqrt(self, sign: int = 1) -> Structured:
+        """The root with eigenvalues sign * sqrt(rep) on e-perp and sqrt(simple) on e.
+
+        sign = 1 is the principal root; its off-diagonal (sqrt(simple) -
+        sqrt(rep)) / n is taken as the quotient t / (sqrt(simple) + sqrt(rep)).
+        The diagonal of the sign = -1 root vanishes at alpha = (n-2)/(n-1) of
+        G_alpha, so there it is accurate only relative to its terms.
+        """
+        r, q = sign * math.sqrt(self.eigenvalues[0]), math.sqrt(self.eigenvalues[1])
+        t = self.t / (q + r) if sign > 0 else (q - r) / self.n
+        return Structured(self.n, r + t, t, (r, q))
+
+    def right_multiply(self, X: np.ndarray) -> np.ndarray:
+        """X M in closed form, rep X + t (X e) e^T, for any X with n columns."""
+        out = self.eigenvalues[0] * X
+        out += self.t * X.sum(axis=1, keepdims=True)
+        return out
+
+    def left_multiply(self, X: np.ndarray) -> np.ndarray:
+        """M X in closed form, rep X + t e (e^T X), for any X with n rows."""
+        out = self.eigenvalues[0] * X
+        out += self.t * X.sum(axis=0)
+        return out
+
+    def subtract_from(self, X: np.ndarray) -> np.ndarray:
+        """X - M in place, entry by entry, for a square X of at most n rows (M's leading block)."""
+        diag = X.diagonal() - self.s
+        X -= self.t
+        np.fill_diagonal(X, diag)
+        return X
+
+    def dense(self, n: int | None = None) -> np.ndarray:
+        """The matrix, or its leading n x n block: the one place a member is built."""
+        m = np.full((self.n if n is None else n,) * 2, self.t)
+        np.fill_diagonal(m, self.s)
+        return m
+
+    matrix = dense  # the name SqrtParams has always given it
+
+
+SqrtParams = Structured  # a root of G_alpha, by the name its (s, t) have always had
 
 
 @dataclass(frozen=True)
@@ -36,6 +112,11 @@ class GramParams:
                 f"alpha={a!r} outside (-1/{n - 1}, 1) for n={n} (boundary margin {BOUNDARY_TOL})"
             )
 
+    @property
+    def operator(self) -> Structured:
+        """G_alpha as a :class:`Structured` operator."""
+        return Structured.gram(self.n, self.alpha)
+
 
 @dataclass(frozen=True)
 class DualParams:
@@ -45,72 +126,34 @@ class DualParams:
     alpha_prime: float
 
 
-@dataclass(frozen=True)
-class SqrtParams:
-    """Diagonal entry s and off-diagonal entry t of a structured Gram root."""
-
-    s: float
-    t: float
-
-    def matrix(self, n: int) -> np.ndarray:
-        """Materialize (s - t) I + t ee^T."""
-        return _ones_structured(n, self.s, self.t)
-
-    def right_multiply(self, X: np.ndarray) -> np.ndarray:
-        """X ((s - t) I + t ee^T) in closed form, (s - t) X + t (X e) e^T, without the root."""
-        out = (self.s - self.t) * X
-        out += self.t * X.sum(axis=1, keepdims=True)
-        return out
-
-
-def _ones_structured(n: int, diag: float, off: float) -> np.ndarray:
-    m = np.full((n, n), off)
-    np.fill_diagonal(m, diag)
-    return m
-
-
-def _from_eigenvalues(n: int, rep: float, simple: float) -> SqrtParams:
-    """The member of span{I, ee^T} with eigenvalue ``rep`` on e-perp and ``simple`` on e."""
-    t = (simple - rep) / n
-    return SqrtParams(s=rep + t, t=t)
-
-
 def gram_matrix(p: GramParams) -> np.ndarray:
-    return _ones_structured(p.n, 1.0, p.alpha)
+    return p.operator.dense()
 
 
 def gram_eigenvalues(p: GramParams) -> tuple[float, float]:
     """(1 - alpha) with multiplicity n-1, and 1 + (n-1) alpha simple."""
-    return 1.0 - p.alpha, 1.0 + (p.n - 1) * p.alpha
+    return p.operator.eigenvalues
 
 
 def dual_params(p: GramParams) -> DualParams:
     """Parameters of the inverse: G^-1 = beta * G' where G' has cosine alpha_prime."""
-    n, a = p.n, p.alpha
-    d1 = (1.0 - a) * (1.0 + (n - 1) * a)
-    d2 = 1.0 + (n - 2) * a
-    # Both denominators are bounded away from zero on the admissible range;
-    # guard anyway so a bad caller gets a typed error instead of inf.
-    if abs(d1) <= 1e-12 or abs(d2) <= 1e-12:
-        raise InvalidAlpha(f"dual parameters undefined at alpha={a!r}, n={n}")
-    return DualParams(beta=d2 / d1, alpha_prime=-a / d2)
+    inv = p.operator.inverse()
+    return DualParams(beta=inv.s, alpha_prime=inv.t / inv.s)
 
 
 def gram_inverse(p: GramParams) -> np.ndarray:
-    d = dual_params(p)
-    return _ones_structured(p.n, d.beta, d.beta * d.alpha_prime)
+    return p.operator.inverse().dense()
 
 
 def gram_principal_sqrt(p: GramParams) -> tuple[SqrtParams, np.ndarray]:
     """Principal (positive definite) square root of the Gram matrix.
 
-    Returns the (s, t) parameters together with the materialized matrix
+    Returns the root's operator together with the materialized matrix
     (s - t) I + t ee^T, whose eigenvalues are sqrt(1 - alpha) and
     sqrt(1 + (n-1) alpha).
     """
-    rep, simple = np.sqrt(gram_eigenvalues(p))
-    sp = _from_eigenvalues(p.n, rep, simple)
-    return sp, sp.matrix(p.n)
+    root = p.operator.sqrt()
+    return root, root.dense()
 
 
 def gram_sqrt_variants(p: GramParams) -> list[SqrtParams]:
@@ -120,14 +163,12 @@ def gram_sqrt_variants(p: GramParams) -> list[SqrtParams]:
     index 1 is the variant that flips the sign of the repeated eigenvalue.
     At alpha = (n-2)/(n-1) the variant has s = 0, off-diagonal 1/sqrt(n-1).
     """
-    rep, simple = np.sqrt(gram_eigenvalues(p))
-    return [_from_eigenvalues(p.n, rep, simple), _from_eigenvalues(p.n, -rep, simple)]
+    return [p.operator.sqrt(), p.operator.sqrt(-1)]
 
 
 def gram_sqrt_inverse(p: GramParams) -> np.ndarray:
     """Inverse of the principal square root, in closed form."""
-    rep, simple = 1.0 / np.sqrt(gram_eigenvalues(p))
-    return _from_eigenvalues(p.n, rep, simple).matrix(p.n)
+    return p.operator.sqrt().inverse().dense()
 
 
 def gram_condition(p: GramParams) -> float:

@@ -2,10 +2,10 @@
 
 QR, symmetric eigendecomposition, real Schur form and polynomial root
 finding are delegated to LAPACK, which comes through numpy; only
-``real_schur`` needs SciPy, and imports it on first use, so importing the
-package or running the CLI never loads SciPy.  This module pins down the
-conventions the rest of the code relies on: nonnegative R diagonal,
-ascending eigenvalues, rank and root-snapping tolerances.  ``snap_real`` is
+``real_schur`` needs SciPy (the ``schur`` extra) and imports it on first use,
+so importing the package or running the CLI never loads SciPy.  This module
+pins down the conventions the rest of the code relies on: nonnegative R
+diagonal, ascending eigenvalues, rank and root-snapping tolerances.  ``snap_real`` is
 the one place the rule that puts a root on the real axis is written, for
 ``poly_roots`` and for every caller that counts non-real eigenvalues.
 ``spectral_norm`` is the one matrix 2-norm value the package and the CLI
@@ -153,8 +153,10 @@ def sym_eig(A):
 
 def real_schur(A):
     """Real Schur form A = Q T Q^T with T quasi-upper-triangular."""
-    import scipy.linalg  # the only SciPy use; deferred to keep it off import
-
+    try:
+        import scipy.linalg  # the only SciPy use; deferred to keep it off import
+    except ImportError as exc:
+        raise ImportError("real_schur needs SciPy, which the eqkit[schur] extra installs") from exc
     A = require_square(as_matrix(A))
     try:
         T, Q = scipy.linalg.schur(A, output="real")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .ea import EquiangularMatrix, random_equiangular
 from .errors import NotEigenpair, NotSquare
-from .gram import GramParams, dual_params, gram_eigenvalues
+from .gram import GramParams, Structured, dual_params, gram_eigenvalues
 from .kernel import OpCounter, as_matrix, generic_inverse
 
 
@@ -44,8 +44,7 @@ def fast_inverse(S: EquiangularMatrix, ops: OpCounter | None = None) -> np.ndarr
     if n != M.shape[1]:
         raise NotSquare("structured inverse is defined for square systems")
     d = dual_params(GramParams(n, S.alpha))
-    inv = np.multiply(M.T, 1.0 - d.alpha_prime)
-    inv += d.alpha_prime * M.sum(axis=1)
+    inv = Structured.gram(n, d.alpha_prime).left_multiply(M.T)  # G^-1 S^T, G^-1 = beta G_alpha'
     inv *= d.beta
     if ops is not None:
         # row sums: n(n-1) adds; scale/add/scale: 3n^2 + n multiplies and adds

@@ -161,10 +161,12 @@ def test_zero_dimension_input_exits_27_and_writes_nothing(tmp_path, capsys, run,
 def test_sdst_of_a_one_by_one_exits_27(tmp_path, capsys):
     p = tmp_path / "one.csv"
     write_matrix(p, [[2.0]])
-    code, rep, err = run_cli(capsys, "sdst", p, "--alpha", 0.1, "--out", f"{tmp_path}/o_")
-    assert (code, rep) == (27, None)
-    assert err == "eqkit sdst: a basis at a common cosine needs n >= 2 columns, got a 1 x 1 matrix\n"
-    assert [q.name for q in tmp_path.iterdir()] == ["one.csv"]
+    # One column has no cosine, so there is no bound on it either.
+    for flags in (["--alpha", 0.1], ["--find-alpha-bound"]):
+        code, rep, err = run_cli(capsys, "sdst", p, *flags, "--out", f"{tmp_path}/o_")
+        assert (code, rep) == (27, None), flags
+        assert err == "eqkit sdst: a basis at a common cosine needs n >= 2 columns, got a 1 x 1 matrix\n"
+        assert [q.name for q in tmp_path.iterdir()] == ["one.csv"]
 
 
 def test_missing_file_is_io_error(tmp_path):

@@ -22,7 +22,7 @@ from eqkit.ea import (
     triangular_equiangular,
 )
 from eqkit.errors import DegenerateAngle, InvalidAngle, RankDeficient
-from eqkit.gram import GramParams, gram_matrix, gram_principal_sqrt
+from eqkit.gram import GramParams, gram_matrix, gram_principal_sqrt, gram_sqrt_inverse
 from eqkit.kernel import spectral_norm
 
 PRINT_TOL = 1.5e-4
@@ -434,6 +434,17 @@ def test_polar_orthogonality_and_reconstruction(hilbert4):
         assert np.linalg.norm(Q.T @ Q - np.eye(n), 2) <= 1e-10
         _, sbar = gram_principal_sqrt(GramParams(n, S.alpha))
         assert np.linalg.norm(Q @ sbar - S.mat, 2) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1024])
+def test_polar_factor_matches_the_dense_product(n):
+    # Both products round at about u times the 2-norm condition number of S,
+    # so entries of the orthogonal factor agree to 1e-15 at moderate kappa.
+    rng = np.random.default_rng(n)
+    for alpha in (0.3, -0.9 / (n - 1)):
+        S = random_equiangular(n, alpha, rng)
+        want = S.mat @ gram_sqrt_inverse(GramParams(n, alpha))
+        assert np.abs(polar_orthogonal_factor(S) - want).max() <= 1e-15
 
 
 def test_random_equiangular_seeded_and_certified():

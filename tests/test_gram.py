@@ -6,6 +6,7 @@ import pytest
 from eqkit.errors import InvalidAlpha
 from eqkit.gram import (
     GramParams,
+    Structured,
     dual_params,
     gram_condition,
     gram_eigenvalues,
@@ -16,6 +17,12 @@ from eqkit.gram import (
     gram_sqrt_variants,
 )
 from eqkit.kernel import generic_inverse, spectral_norm, sym_eig
+
+try:
+    from hypothesis import assume, given
+    from hypothesis import strategies as st
+except ImportError:  # the fixed oracle sweep still runs
+    given = None
 
 
 def test_gram_matrix_half():
@@ -211,3 +218,165 @@ def test_condition_matches_operator_norms(rng):
         S = random_equiangular(n, alpha, rng=rng).mat
         kappa = spectral_norm(S) * spectral_norm(generic_inverse(S))
         assert abs(gram_condition(GramParams(n, alpha)) - kappa) <= 1e-6 * kappa
+
+
+# ---- the structured operator ---------------------------------------------------
+
+
+@pytest.mark.parametrize("n,alpha", [(2, 0.5), (5, -0.2), (7, 0.9), (64, 0.3)])
+def test_operator_products_match_its_dense_matrix(n, alpha, rng):
+    G = GramParams(n, alpha).operator
+    X = rng.standard_normal((n, n))
+    for op in (G, G.inverse(), G.sqrt(), G.sqrt(-1), G.sqrt().inverse()):
+        M = op.dense()
+        assert np.abs(op.left_multiply(X) - M @ X).max() <= 1e-13 * n
+        assert np.abs(op.right_multiply(X) - X @ M).max() <= 1e-13 * n
+        lo, hi = np.linalg.eigvalsh(M)[[0, -1]]
+        assert sorted(op.eigenvalues) == pytest.approx([lo, hi], rel=1e-12, abs=1e-13)
+    assert np.abs(G.inverse().dense() @ G.dense() - np.eye(n)).max() <= 1e-12 * n
+    for root in (G.sqrt(), G.sqrt(-1)):
+        assert np.abs(root.dense() @ root.dense() - G.dense()).max() <= 1e-12 * n
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_subtract_from_is_the_dense_difference_bit_for_bit(k, rng):
+    G = GramParams(5, 0.3).operator
+    X = rng.standard_normal((k, k))
+    want = X - G.dense(k)  # the leading k x k block of G
+    got = G.subtract_from(X)
+    assert got is X and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_gram_operator_has_an_exact_unit_diagonal():
+    for n, alpha in [(3, 0.1), (64, -1.0 / 63 + 2e-9), (300, 1e-15)]:
+        G = GramParams(n, alpha).operator
+        assert G.s == 1.0 and G.t == alpha
+        assert np.all(np.diag(gram_matrix(GramParams(n, alpha))) == 1.0)
+
+
+def test_no_caller_builds_a_member_it_does_not_return(monkeypatch, tmp_path, capsys):
+    from eqkit.cli import main
+    from eqkit.ea import polar_orthogonal_factor, random_equiangular
+    from eqkit.factor import sdst_factor, two_eigenvalue_factor
+    from eqkit.io import write_matrix
+    from eqkit.spectral import fast_inverse
+
+    def refuse(*args):
+        raise AssertionError("an n x n member of span{I, ee^T} was built")
+
+    monkeypatch.setattr(Structured, "dense", refuse)
+    monkeypatch.setattr(Structured, "matrix", refuse)
+    S = random_equiangular(6, 0.3, np.random.default_rng(1))
+    polar_orthogonal_factor(S)
+    fast_inverse(S)
+    two_eigenvalue_factor(np.diag([1.0, 1.0, 2.0]))
+    two_eigenvalue_factor(np.diag([2.0, 2.0, 1.0]))
+    sdst_factor(np.diag([1.0, 2.0, 3.0]), 0.1)
+    sdst_factor(np.diag([0.0, 1.0, 2.0, 3.0]), 0.1)
+    for name, A in [("a.csv", np.random.default_rng(2).standard_normal((5, 5))), ("one.csv", [[-2.5]])]:
+        write_matrix(tmp_path / name, A)
+        assert main(["dea", str(tmp_path / name), "--alpha", "0.25", "--out", f"{tmp_path}/o_"]) == 0
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="was built"):
+        gram_matrix(GramParams(3, 0.5))  # the contract functions still reach the builder
+
+
+
+# ---- a 50-digit oracle for the root and inverse parameters -----------------------
+#
+# Every parameter is built from 1 - alpha and 1 + (n-1) alpha, each rounded once,
+# by square roots, products, quotients and sums whose terms either share a sign
+# or are at most twice the result.  Counting one rounding u = eps/2 per operation
+# and each input's error through, to first order, gives the bound in units of u
+# that each is held to relative to the exact value at the float alpha:
+#   the eigenvalues 1 - alpha and 1 + (n-1) alpha themselves: 1 each;
+#   r, q = sqrt(1 - alpha), sqrt(1 + (n-1) alpha): 1.5 each;
+#   root.t = alpha / (q + r): 3.5;  root.s = r + root.t: 2 * 1.5 + 3.5 + 1 = 7.5;
+#   root_inverse.t = -root.t / (r q): 8.5;  root_inverse.s = 1/r + that: 2 * 2.5 + 8.5 + 1 = 14.5;
+#   t of G^-1 = -alpha / (rep simple): 4;  beta = 1/rep + that: 2 * 2 + 4 + 1 = 9;
+#   alpha_prime = (t of G^-1) / beta: 14;  flipped.t = (q + r) / n: 3.5.
+# The diagonal of the sign-flipped root, t - r with t = flipped.t, is a difference
+# that vanishes at alpha = (n-2)/(n-1), so it is held to an absolute bound
+# FLIPPED_C * u * (r + t), that is FLIPPED_C * cond * u relative with
+# cond = (r + t) / |t - r|: 1.5 u in r, 3.5 u in t, and u in the difference.
+
+U = np.finfo(float).eps / 2
+BOUND_U = {"rep": 1.0, "simple": 1.0, "root.t": 3.5, "root.s": 7.5, "root_inverse.t": 8.5, "root_inverse.s": 14.5,
+           "beta": 9.0, "alpha_prime": 14.0, "flipped.t": 3.5}
+FLIPPED_C = 5.0
+ORACLE_NS = (2, 4, 64, 4096)
+
+
+def oracle_params(n, alpha):
+    """The exact parameters at the float alpha, to 50 digits, and sqrt(1 - alpha)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        r, q = mpmath.sqrt(1 - a), mpmath.sqrt(1 + (n - 1) * a)
+        t, t_inv = (q - r) / n, (1 / q - 1 / r) / n
+        d2 = 1 + (n - 2) * a
+        return {
+            "rep": 1 - a, "simple": 1 + (n - 1) * a, "root.t": t, "root.s": r + t,
+            "root_inverse.t": t_inv, "root_inverse.s": 1 / r + t_inv,
+            "beta": d2 / ((1 - a) * (1 + (n - 1) * a)), "alpha_prime": -a / d2,
+            "flipped.t": (q + r) / n,
+        }, r
+
+
+def assert_matches_oracle(n, alpha):
+    p = GramParams(n, alpha)
+    root, flipped = gram_sqrt_variants(p)
+    d = dual_params(p)
+    got = {
+        "rep": gram_eigenvalues(p)[0], "simple": gram_eigenvalues(p)[1], "root.t": root.t, "root.s": root.s,
+        "root_inverse.t": root.inverse().t, "root_inverse.s": root.inverse().s,
+        "beta": d.beta, "alpha_prime": d.alpha_prime, "flipped.t": flipped.t,
+    }
+    want, r = oracle_params(n, alpha)
+    for name, value in got.items():
+        exact = want[name]
+        if exact == 0:
+            assert value == 0.0, (name, n, alpha)
+        else:
+            err = abs((value - exact) / exact)
+            assert err <= BOUND_U[name] * U, (name, n, alpha, float(err / U))
+    t = want["flipped.t"]
+    assert abs(flipped.s - (t - r)) <= FLIPPED_C * U * (r + t), (n, alpha)
+
+
+def oracle_cosines(n):
+    """|alpha| from 1e-15 up, both signs, and alpha close to either end of (-1/(n-1), 1)."""
+    small = [m * 10.0**-k for k in range(1, 16) for m in (1.0, 3.7)]
+    margins = [1.5e-9, 2e-9, 1e-8, 1e-6, 1e-3]
+    ends = [1.0 - m for m in margins] + [-1.0 / (n - 1) + m for m in margins]
+    return [a for a in small + [-a for a in small] + ends + [0.0, 0.5, (n - 2.0) / (n - 1.0)]
+            if min(1.0 - a, a + 1.0 / (n - 1)) > 1e-9]
+
+
+@pytest.mark.parametrize("n", ORACLE_NS)
+def test_oracle_root_and_inverse_parameters(n):
+    for alpha in oracle_cosines(n):
+        assert_matches_oracle(n, alpha)
+
+
+def test_oracle_cancellation_cases_from_the_old_forms():
+    # (sqrt(1+(n-1)a) - sqrt(1-a))/n lost up to 9e-5 of t and t' here.
+    for n, alpha in [(4, 1e-12), (4, -1e-12), (4096, 1e-15), (4, 1e-8)]:
+        assert_matches_oracle(n, alpha)
+
+
+if given is not None:
+
+    @st.composite
+    def gram_cases(draw):
+        n = draw(st.sampled_from(ORACLE_NS))
+        x = draw(st.floats(-15.0, -0.0))
+        alpha = draw(st.sampled_from([
+            10.0**x, -(10.0**x), 1.0 - 10.0**max(x, -8.9), -1.0 / (n - 1) + 10.0**max(x, -8.9),
+        ]))
+        assume(min(1.0 - alpha, alpha + 1.0 / (n - 1)) > 1e-9)
+        return n, alpha
+
+    @given(gram_cases())
+    def test_oracle_root_and_inverse_parameters_drawn(case):
+        assert_matches_oracle(*case)

@@ -2,7 +2,8 @@
 
 Importing the package or the CLI must not load SciPy, and every CLI
 subcommand must run with SciPy made unimportable.  ``kernel.real_schur`` is
-the one function that needs it and imports it on first use.
+the one function that needs it (the optional ``eqkit[schur]`` extra) and
+imports it on first use; without SciPy it raises an ImportError naming the extra.
 """
 
 import json
@@ -84,6 +85,19 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         assert set(rep["checks"]) == checks[label]
     assert results["check"][1]["equiangular_alpha"] is not None
     assert 0.0 < results["sdst_bound"][1]["alpha_real_root_bound"] < 1.0
+
+
+def test_real_schur_without_scipy_names_the_extra():
+    script = (
+        'import sys; sys.modules["scipy"] = None\n'
+        "import numpy as np\n"
+        "from eqkit.factor import schur_equiangular\n"
+        "try:\n"
+        "    schur_equiangular(np.diag([1.0, 2.0, 3.0]), 0.2)\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert "eqkit[schur]" in run_python(["-c", script])
 
 
 def test_real_schur_still_works(rng):
