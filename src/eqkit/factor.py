@@ -8,11 +8,13 @@ provided the monic polynomial
     c_k = e_k(lambda) / ((1-alpha)^(k-1) (1 + (k-1) alpha))
 
 (e_k = elementary symmetric polynomial) has all-real roots; those roots are
-the d's.  Spectra with a repeated eigenvalue are handled separately: the
-(n-1, 1) two-value pattern factors in closed form as A = r S S^T, while an
-eigenvalue repeated k times with 2 <= k <= n-2 admits no real factorization
-at any alpha.  Zero eigenvalues (at most n-2 of them) ride along by
-factoring the nonzero block and extending the basis.
+the d's; one companion-matrix solver gives them to both the factorization
+and the bound on alpha.  Spectra with a repeated eigenvalue are handled
+separately: the (n-1, 1) two-value pattern factors in closed form as
+A = r S S^T, while an eigenvalue repeated k times with 2 <= k <= n-2 admits
+no real factorization at any alpha.  Zero eigenvalues (at most n-2 of them)
+ride along by factoring the nonzero block and extending the basis by the S
+factor alone of an SR factorization.
 
 This module also recovers equiangular structure from a matrix: a Schur-like
 splitting A = S T S^-1 with S equiangular, and detection of whether A's
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ea import EquiangularMatrix, sr_decompose, triangular_equiangular
+from .ea import EquiangularMatrix, _sr_frame, sr_decompose, triangular_equiangular
 from .errors import (
     ComplexSpectrum,
     DegreeZero,
@@ -81,14 +83,15 @@ def elementary_symmetric(values) -> np.ndarray:
 
 def sdst_coefficients(lambdas, alpha: float) -> np.ndarray:
     """c_1..c_n: elementary symmetric functions rescaled by the Gram denominators."""
-    lam = np.asarray(lambdas, dtype=float)
-    n = lam.size
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"factorization cosine must lie in (0, 1), got {alpha!r}")
-    e = elementary_symmetric(lam)
-    k = np.arange(1, n + 1)
-    denom = (1.0 - alpha) ** (k - 1) * (1.0 + (k - 1) * alpha)
-    return e[1:] / denom
+    return _rescale(elementary_symmetric(lambdas)[1:], alpha)
+
+
+def _rescale(e: np.ndarray, alpha: float) -> np.ndarray:
+    """c_k = e_k / ((1 - alpha)^(k-1) (1 + (k-1) alpha)) for e = e_1..e_n."""
+    km1 = np.arange(e.size)
+    return e / ((1.0 - alpha) ** km1 * (1.0 + km1 * alpha))
 
 
 def build_poly(lambdas, alpha: float) -> PolySpec:
@@ -125,51 +128,51 @@ def _poly_scale(lambdas) -> tuple[np.ndarray, float]:
     return lam / s, s
 
 
-def _roots(lambdas, alpha: float) -> np.ndarray:
-    """Snapped roots of ``build_poly(lambdas, alpha)``; OutOfRange if a coefficient overflows."""
-    try:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            coeffs = build_poly(lambdas, alpha).coeffs
-        return poly_roots(coeffs)
-    except ValueError as exc:  # poly_roots refuses NaN and Inf coefficients
-        raise OutOfRange(f"factorization polynomial overflows float64 at alpha={alpha!r}") from exc
+def _root_solver(lambdas):
+    """:func:`_poly_scale`'s s and ``roots(alpha)``, the snapped roots for lambdas / s.
 
-
-def alpha_real_root_bound(lambdas, tol: float = 1e-6) -> float:
-    """Largest cosine for which the factorization polynomial stays all-real.
-
-    Bisects the all-real predicate over (1e-6, 1 - 1e-6); returns 0.0 when
-    even the smallest tested cosine already produces non-real roots.  e_k
-    does not depend on alpha, so it is formed once; each tested cosine then
-    rewrites row 0 of one companion matrix, laid out as ``np.roots`` lays it
-    out, with -c(alpha) and counts the eigenvalues that ``snap_real`` leaves
-    off the real axis.  The tested cosines and the eigenvalue solver's input
-    are those of ``poly_roots(build_poly(lambdas, alpha).coeffs)``, so the
-    bound is the same to the bit.
+    e_k is formed once; each alpha rewrites row 0 of one companion matrix, laid
+    out as ``np.roots`` lays it out, with -c(alpha), and ``np.roots``' zero roots
+    for trailing zero coefficients follow its eigenvalues.  So the roots are
+    ``poly_roots(build_poly(lambdas / s, alpha).coeffs)`` to the bit, up to order.
     """
-    lambdas, _ = _poly_scale(lambdas)
+    lambdas, s = _poly_scale(lambdas)
     n = lambdas.size
     if not n:
         raise DegreeZero("polynomial must have degree >= 1")
     e = elementary_symmetric(lambdas)[1:]
-    km1 = np.arange(n)
     # The denominators lie in (0, 1], so c_k is zero exactly where e_k is.
     # np.roots drops trailing zero coefficients as real zero roots: the
     # companion matrix stops at the last nonzero e_k.
     nonzero = np.flatnonzero(e)
     m = int(nonzero[-1]) + 1 if nonzero.size else 0
     flip = (-1.0) ** np.arange(m)  # row 0 is -coeffs[1:] = c * flip
-    companion = np.diag(np.ones(max(m - 1, 0)), -1)
+    companion = np.eye(m, k=-1)
+    zeros = np.zeros(n - m)
+
+    def roots(alpha: float) -> np.ndarray:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            c = _rescale(e, alpha)
+        if not np.isfinite(c).all():
+            raise OutOfRange(f"factorization polynomial overflows float64 at alpha={alpha!r}")
+        np.multiply(c[:m], flip, out=companion[:1])
+        return snap_real(np.concatenate((np.linalg.eigvals(companion), zeros)))
+
+    return s, roots
+
+
+def alpha_real_root_bound(lambdas, tol: float = 1e-6) -> float:
+    """Largest cosine for which the factorization polynomial stays all-real.
+
+    Bisects the all-real predicate over (1e-6, 1 - 1e-6); returns 0.0 when
+    even the smallest tested cosine already produces non-real roots.  The
+    roots come from :func:`_root_solver`, as d does in :func:`sdst_factor`,
+    so the bound is the one ``poly_roots`` of ``build_poly`` gives, to the bit.
+    """
+    _, roots = _root_solver(lambdas)
 
     def all_real(a: float) -> bool:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            c = e / ((1.0 - a) ** km1 * (1.0 + km1 * a))
-        if not np.isfinite(c).all():
-            raise OutOfRange(f"factorization polynomial overflows float64 at alpha={a!r}")
-        if not m:
-            return True
-        np.multiply(c[:m], flip, out=companion[0])
-        return not np.count_nonzero(snap_real(np.linalg.eigvals(companion)).imag)
+        return not np.count_nonzero(roots(a).imag)
 
     lo, hi = 1e-6, 1.0 - 1e-6
     if not all_real(lo):
@@ -300,30 +303,26 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
     # Reorder the eigenbasis so the nonzero part (ascending) comes first.
     order = np.concatenate([np.flatnonzero(~zero_mask), np.flatnonzero(zero_mask)])
     Qp = Q[:, order]
-    lam_nz = nz
 
-    lam_poly, s = _poly_scale(lam_nz)
-    roots = _roots(lam_poly, alpha)
-    if np.any(roots.imag != 0.0):
-        raise NonRealRoots(
-            f"{int(np.count_nonzero(roots.imag != 0))} non-real roots at alpha={alpha!r}"
-        )
+    s, roots_at = _root_solver(nz)
+    roots = roots_at(alpha)
+    if np.count_nonzero(roots.imag):
+        raise NonRealRoots(f"{np.count_nonzero(roots.imag)} non-real roots at alpha={alpha!r}")
     d = np.sort(roots.real) * s
 
     sbar = GramParams(m, alpha).operator.sqrt()
     Qm, mu = sym_eig(sbar.right_multiply(sbar.left_multiply(np.diag(d))))  # sbar diag(d) sbar
-    if float(np.max(np.abs(np.sort(mu) - np.sort(lam_nz)))) > 1e-7 * scale:
+    if float(np.max(np.abs(np.sort(mu) - np.sort(nz)))) > 1e-7 * scale:
         raise NonRealRoots("recovered spectrum does not match the target within 1e-7")
-    S_block = sbar.right_multiply(_fix_column_signs(Qm).T)  # factors diag(lam_nz ascending)
+    S = sbar.right_multiply(_fix_column_signs(Qm).T)  # factors diag(nz ascending)
 
-    S = S_block
     if n_zero:
-        # S_block's Gram matrix is G_alpha, so it is its own SR factor and the
-        # SR factor of blockdiag(S_block, I) extends it by the zero-eigenvalue
-        # directions.
+        # This S's Gram matrix is G_alpha, so it is its own SR factor and the
+        # SR factor of blockdiag(S, I) extends it by the zero-eigenvalue
+        # directions; only that S is formed, not R or the residual S R - B.
         B = np.eye(n)
-        B[:m, :m] = S_block
-        S = sr_decompose(B, math.acos(alpha)).S.mat
+        B[:m, :m] = S
+        S = _sr_frame(B, math.acos(alpha))[0].mat
     d_full = np.concatenate([d, np.zeros(n_zero)])
 
     S_out = Qp @ S

@@ -29,7 +29,7 @@ from eqkit.factor import (
     two_eigenvalue_factor,
 )
 from eqkit.gram import GramParams, gram_matrix, gram_principal_sqrt
-from eqkit.kernel import poly_roots, spectral_norm
+from eqkit.kernel import poly_roots, spectral_norm, sym_eig
 
 
 def _planted(n, alpha, eigvals, seed):
@@ -137,13 +137,24 @@ def test_bound_monotone_in_spread():
     assert wide > tight
 
 
-def _bound_reference(lambdas, tol: float = 1e-6) -> float:
+def _reference_roots(lambdas, alpha: float) -> np.ndarray:
+    """Snapped roots of ``build_poly(lambdas, alpha)`` by ``poly_roots``, which
+    calls ``np.roots``; OutOfRange with the library's text if a coefficient overflows."""
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            coeffs = build_poly(lambdas, alpha).coeffs
+        return poly_roots(coeffs)
+    except ValueError as exc:  # poly_roots refuses NaN and Inf coefficients
+        raise OutOfRange(f"factorization polynomial overflows float64 at alpha={alpha!r}") from exc
+
+
+def _bound_reference(lambdas, tol: float = 1e-6, roots=_reference_roots) -> float:
     """The bisection with its first predicate: every tested cosine builds the
     polynomial anew and takes its roots with ``poly_roots``."""
     lambdas, _ = factor._poly_scale(lambdas)
 
     def all_real(a: float) -> bool:
-        return not np.count_nonzero(factor._roots(lambdas, a).imag)
+        return not np.count_nonzero(roots(lambdas, a).imag)
 
     lo, hi = 1e-6, 1.0 - 1e-6
     if not all_real(lo):
@@ -221,13 +232,17 @@ def test_bound_solves_the_np_roots_companion_at_the_reference_cosines(rng, monke
     """Each eigenvalue solve gets, bit for bit, the companion matrix ``np.roots``
     builds for ``build_poly(lam, a)`` at each cosine the reference tests."""
     cosines, solved = [], []
-    roots, eigvals = factor._roots, np.linalg.eigvals
-    monkeypatch.setattr(factor, "_roots", lambda lam, a: cosines.append(a) or roots(lam, a))
+    eigvals = np.linalg.eigvals
+
+    def recorded(lam, a):
+        cosines.append(a)
+        return _reference_roots(lam, a)
+
     spectra = _mixed_spectra(rng, range(2, 13), 2) + _mixed_spectra(rng, range(3, 9), 2, zeros=2)
     for lam in spectra:
         cosines.clear()
         solved.clear()
-        _bound_reference(lam)
+        _bound_reference(lam, roots=recorded)
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigvals", lambda M: solved.append(M.copy()) or eigvals(M))
             alpha_real_root_bound(lam)
@@ -378,6 +393,107 @@ def test_sdst_spectrum_past_overflow(rng):
         sdst_factor(np.diag(np.arange(1.0, 61.0)), 1.0 - 1e-8)
 
 
+def _sdst_reference(A, alpha):
+    """(S, D, residual) of ``sdst_factor`` for an A it accepts, by its earlier
+    route: d from ``_reference_roots`` and the zero-eigenvalue extension from
+    ``sr_decompose``; NonRealRoots and OutOfRange with the same texts."""
+    Q, w = sym_eig(A)
+    n = w.size
+    scale = max(1.0, float(np.max(np.abs(w))))
+    zero = np.abs(w) <= factor.CLUSTER_RTOL * scale
+    lam = w[~zero]
+    m, n_zero = lam.size, n - lam.size
+    lam_poly, s = factor._poly_scale(lam)
+    roots = _reference_roots(lam_poly, alpha)
+    if np.any(roots.imag != 0.0):
+        raise NonRealRoots(f"{int(np.count_nonzero(roots.imag != 0))} non-real roots at alpha={alpha!r}")
+    d = np.sort(roots.real) * s
+    sbar = GramParams(m, alpha).operator.sqrt()
+    Qm, mu = sym_eig(sbar.right_multiply(sbar.left_multiply(np.diag(d))))
+    if float(np.max(np.abs(np.sort(mu) - np.sort(lam)))) > 1e-7 * scale:
+        raise NonRealRoots("recovered spectrum does not match the target within 1e-7")
+    S = sbar.right_multiply(factor._fix_column_signs(Qm).T)
+    if n_zero:
+        B = np.eye(n)
+        B[:m, :m] = S
+        S = ea.sr_decompose(B, math.acos(alpha)).S.mat
+    d_full = np.concatenate([d, np.zeros(n_zero)])
+    S_out = Q[:, np.concatenate([np.flatnonzero(~zero), np.flatnonzero(zero)])] @ S
+    return S_out, d_full, spectral_norm((S_out * d_full) @ S_out.T - A)
+
+
+def _sdst_outcome(factorize, A, alpha):
+    """The bytes of (S, D, residual), or the type and text of the refusal."""
+    try:
+        out = factorize(A, alpha)
+    except (NonRealRoots, OutOfRange, MultiplicityUnsupported) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, factor.SDSTFactorization):
+        out = (out.S.mat, out.D, out.residual)
+    return tuple(np.asarray(x).tobytes() for x in out)
+
+
+def _rotated(rng, lam):
+    Q, _ = np.linalg.qr(rng.standard_normal((lam.size, lam.size)))
+    A = (Q * lam) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+SDST_COSINES = (1e-4, 1e-2, 0.1, 0.3)
+
+
+@pytest.mark.parametrize("family", sorted(BOUND_FAMILIES))
+def test_sdst_matches_the_np_roots_reference_bitwise(rng, family):
+    kinds = []
+    for lam in BOUND_FAMILIES[family](rng):
+        A = _rotated(rng, lam)
+        for a in SDST_COSINES:
+            got = _sdst_outcome(sdst_factor, A, a)
+            kinds.append(got[0] if isinstance(got[0], str) else "factored")
+            if got[0] == "MultiplicityUnsupported":  # refused before any root is taken
+                continue
+            assert got == _sdst_outcome(_sdst_reference, A, a), (lam, a)
+    assert kinds.count("factored") >= 10 and kinds.count("NonRealRoots") >= 10
+
+
+def test_sdst_overflow_matches_the_np_roots_reference():
+    A = np.diag(np.arange(1.0, 61.0))
+    got = _sdst_outcome(sdst_factor, A, 1.0 - 1e-8)
+    assert got[0] == "OutOfRange"
+    assert got == _sdst_outcome(_sdst_reference, A, 1.0 - 1e-8)
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 9])
+def test_sdst_zero_eigenvalues_match_the_sr_decompose_route(rng, n):
+    """The extension forms S alone; it has the bits of ``sr_decompose``'s S."""
+    for n_zero in range(1, n - 1):
+        lam = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 4.0, n)
+        lam[:n_zero] = 0.0
+        a = 0.5 * alpha_real_root_bound(lam[n_zero:])
+        A = _rotated(rng, lam)
+        got = _sdst_outcome(sdst_factor, A, a)
+        assert not isinstance(got[0], str), (lam, got)
+        assert got == _sdst_outcome(_sdst_reference, A, a), lam
+
+
+def test_sdst_never_calls_np_roots(rng, monkeypatch):
+    def refuse(p):
+        raise AssertionError("np.roots called")
+
+    monkeypatch.setattr(np, "roots", refuse)
+    for lam, a in [
+        (np.array([1.0, 2.0, 3.0]), 0.1),
+        (np.array([0.0, 0.0, 1.0, 2.0, 3.5]), 0.12),
+        (2.0**700 * np.array([1.0, 2.0, 3.0, 5.0]), 0.05),
+    ]:
+        f = sdst_factor(_rotated(rng, lam), a)
+        assert f.residual <= 1e-8 * np.abs(lam).max()
+    with pytest.raises(NonRealRoots, match="non-real roots"):
+        sdst_factor(3.0 * np.eye(4), 0.5)
+    with pytest.raises(OutOfRange):
+        sdst_factor(np.diag(np.arange(1.0, 61.0)), 1.0 - 1e-8)
+
+
 def test_sdst_too_many_zeros():
     with pytest.raises(MultiplicityUnsupported):
         sdst_factor(np.diag([0.0, 0.0, 1.0]), 0.1)
@@ -444,6 +560,7 @@ def test_counterexample_spectra_have_no_real_factorization():
 
 
 def test_schur_equiangular_round_trip(rng):
+    pytest.importorskip("scipy")
     A = rng.standard_normal((6, 6))
     S, T = schur_equiangular(A, 0.3)
     inv = np.linalg.inv(S.mat)
@@ -453,6 +570,7 @@ def test_schur_equiangular_round_trip(rng):
 
 
 def test_schur_equiangular_takes_no_2_norm(rng, monkeypatch):
+    pytest.importorskip("scipy")
     def refuse(*args):
         raise AssertionError("dense 2-norm computed")
 
@@ -463,6 +581,7 @@ def test_schur_equiangular_takes_no_2_norm(rng, monkeypatch):
 
 
 def test_schur_equiangular_symmetric_is_triangular(rng):
+    pytest.importorskip("scipy")
     lam = [1.0, 4.0, 9.0]
     g = rng.standard_normal((3, 3))
     Q, _ = np.linalg.qr(g)
@@ -473,6 +592,7 @@ def test_schur_equiangular_symmetric_is_triangular(rng):
 
 
 def test_schur_equiangular_keeps_rotation_block():
+    pytest.importorskip("scipy")
     A = np.array([[0.0, -2.0], [2.0, 0.0]])
     S, T = schur_equiangular(A, 0.4)
     assert abs(T[1, 0]) > 1e-6  # the complex pair's 2x2 block survives

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import eqkit
 from eqkit.ea import sr_decompose
@@ -101,6 +102,7 @@ def test_real_schur_without_scipy_names_the_extra():
 
 
 def test_real_schur_still_works(rng):
+    pytest.importorskip("scipy")
     A = rng.standard_normal((6, 6))
     Q, T = real_schur(A)
     assert np.abs(Q @ T @ Q.T - A).max() <= 1e-12 * np.abs(A).max() * 6

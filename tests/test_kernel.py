@@ -106,6 +106,10 @@ class TestSymEig:
 
 
 class TestRealSchur:
+    @pytest.fixture(autouse=True)
+    def _needs_scipy(self):
+        pytest.importorskip("scipy")
+
     def test_symmetric_gives_diagonal_t(self, rng):
         A = rng.standard_normal((5, 5))
         A = A + A.T
