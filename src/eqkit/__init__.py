@@ -14,6 +14,7 @@ that structure carries a surprising amount of machinery:
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
 from .ea import (
     EquiangularMatrix,
     SRDecomposition,
@@ -108,4 +109,5 @@ from .spectral import (
     inverse_geometry,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Not the submodules: ``from eqkit import *`` would rebind a caller's ``io`` to ``eqkit.io``.
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

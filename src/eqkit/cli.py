@@ -19,8 +19,7 @@ import numpy as np
 
 from . import __version__
 from .doubly import certify_doubly, dea, row_sum_params
-from .ea import EquiangularMatrix, _off_diagonal, _sr_factors, certify_equiangular
-from .ea import sr_decompose  # noqa: F401  perfbench/spans.py traces eqkit.cli.sr_decompose
+from .ea import EquiangularMatrix, _off_diagonal, certify_equiangular, sr_decompose
 from .errors import (
     EqkitError,
     InvalidAlpha,
@@ -101,8 +100,13 @@ def _read_input(args) -> np.ndarray:
     return A
 
 
-def _out_path(args, name: str) -> str:
-    return f"{args.out}{name}.{args.format}"
+def _write_back(args, **outputs: np.ndarray) -> tuple[dict, list]:
+    """Write each output to ``--out`` + its name + ``.`` + ``--format``; return the paths by name
+    and the matrices read back, from which every check is computed, so a report certifies the files on disk."""
+    paths = {name: f"{args.out}{name}.{args.format}" for name in outputs}
+    for name, M in outputs.items():
+        write_matrix(paths[name], M)
+    return paths, [read_matrix(path) for path in paths.values()]
 
 
 def cmd_sr(args) -> int:
@@ -110,11 +114,8 @@ def cmd_sr(args) -> int:
     alpha = _resolve_alpha(args)
     if A.shape[1] >= 2:
         GramParams(A.shape[1], alpha)  # InvalidAlpha, as dea raises, for a cosine the columns cannot share
-    S, R = _sr_factors(A, math.acos(alpha))
-    paths = {"S": _out_path(args, "S"), "R": _out_path(args, "R")}
-    write_matrix(paths["S"], S.mat)
-    write_matrix(paths["R"], R)
-    S, R = read_matrix(paths["S"]), read_matrix(paths["R"])
+    dec = sr_decompose(A, math.acos(alpha))
+    paths, (S, R) = _write_back(args, S=dec.S.mat, R=dec.R)
     scale = max(1.0, spectral_norm(A))
     cert = certify_equiangular(S, args.tol)
     if cert is not None and S.shape[1] == 1:
@@ -142,15 +143,13 @@ def cmd_inverse(args) -> int:
     else:
         inv = generic_inverse(M)
     wall = time.perf_counter() - t0
-    paths = {"inverse": _out_path(args, "inv")}
-    write_matrix(paths["inverse"], inv)
-    inv_r = read_matrix(paths["inverse"])
+    paths, (inv_r,) = _write_back(args, inv=inv)
     n = M.shape[0]
     checks = {
         "inverse_residual": _check(spectral_norm(inv_r @ M - np.eye(n)), args.tol * n)
     }
     extra = {"parameters": {"alpha": alpha, "method": args.method}, "wall_times": {"invert": wall}}
-    return _emit(_report("inverse", args, checks, paths, extra))
+    return _emit(_report("inverse", args, checks, {"inverse": paths["inv"]}, extra))
 
 
 def _bench_inverse(args) -> int:
@@ -188,11 +187,8 @@ def cmd_sdst(args) -> int:
     if args.alpha is None:
         raise InvalidAngle("sdst needs --alpha (or --find-alpha-bound)")
     fac = sdst_factor(A, args.alpha)
-    paths = {"S": _out_path(args, "S"), "D": _out_path(args, "D")}
-    write_matrix(paths["S"], fac.S.mat)
-    write_matrix(paths["D"], fac.D.reshape(1, -1))
-    S = read_matrix(paths["S"])
-    d = read_matrix(paths["D"]).ravel()
+    paths, (S, D) = _write_back(args, S=fac.S.mat, D=fac.D.reshape(1, -1))
+    d = D.ravel()
     scale = max(1.0, spectral_norm(A))
     checks = {
         "sdst_residual": _check(spectral_norm((S * d) @ S.T - A), max(args.tol, 1e-7) * scale),
@@ -205,10 +201,7 @@ def cmd_sdst(args) -> int:
 def cmd_dea(args) -> int:
     A = _read_input(args)
     alpha = _resolve_alpha(args)
-    out = dea(A, alpha)
-    paths = {"S": _out_path(args, "S")}
-    write_matrix(paths["S"], out.mat)
-    S = read_matrix(paths["S"])
+    paths, (S,) = _write_back(args, S=dea(A, alpha).mat)
     n = S.shape[0]
     p, c = row_sum_params(n, alpha)
     G = p.operator  # p.n is 2 when S is 1 x 1: subtract_from takes G's leading block
@@ -224,10 +217,7 @@ def cmd_dea(args) -> int:
 
 
 def cmd_frame(args) -> int:
-    sf = simplex_frame(args.n)
-    paths = {"S": _out_path(args, "S")}
-    write_matrix(paths["S"], sf.mat)
-    S = read_matrix(paths["S"])
+    paths, (S,) = _write_back(args, S=simplex_frame(args.n).mat)
     n = args.n
     G = S.T @ S
     ff = S @ S.T
@@ -258,12 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="eqkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_input=True, optional_input=False):
+    def common(sp, needs_input=True):
         if needs_input:
-            if optional_input:
-                sp.add_argument("input", nargs="?", help="matrix file (.csv or .mtx)")
-            else:
-                sp.add_argument("input", help="matrix file (.csv or .mtx)")
+            sp.add_argument("input", help="matrix file (.csv or .mtx)")
         sp.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
         sp.add_argument("--out", default="eqkit_", help="output file prefix")
         sp.add_argument("--format", choices=("csv", "mtx"), default="csv", help="output format")
@@ -279,17 +266,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sr)
 
     sp = sub.add_parser("inverse", help="invert an equiangular matrix")
-    common(sp, optional_input=True)
+    common(sp, needs_input=False)
+    g = sp.add_mutually_exclusive_group()
+    g.add_argument("input", nargs="?", help="matrix file (.csv or .mtx)")
+    g.add_argument("--bench", action="store_true", help="size sweep benchmark instead of a file")
     sp.add_argument("--method", choices=("fast", "generic"), default="fast")
-    sp.add_argument("--bench", action="store_true", help="size sweep benchmark instead of a file")
     sp.add_argument("--seed", type=int, default=0, help="seed of the --bench matrices")
     sp.set_defaults(func=cmd_inverse)
 
     sp = sub.add_parser("sdst", help="factor symmetric A = S diag(d) S^T")
     common(sp)
-    sp.add_argument("--alpha", type=float, help="basis cosine in (0, 1)")
-    sp.add_argument("--find-alpha-bound", action="store_true",
-                    help="report the largest cosine keeping the polynomial all-real")
+    g = sp.add_mutually_exclusive_group()
+    g.add_argument("--alpha", type=float, help="basis cosine in (0, 1)")
+    g.add_argument("--find-alpha-bound", action="store_true",
+                   help="bisect (1e-6, 1 - 1e-6) for the cosine where the float64 polynomial "
+                        "roots stop being all real (0.0 if they are not at 1e-6)")
     sp.set_defaults(func=cmd_sdst)
 
     sp = sub.add_parser("dea", help="build a doubly equiangular matrix")

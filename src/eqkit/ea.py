@@ -139,14 +139,6 @@ def sr_decompose(A, theta: float) -> SRDecomposition:
     taken from this call's S R - A when first read.
     """
     A = as_matrix(A)
-    S, R = _sr_factors(A, theta)
-    E = S.mat @ R
-    E -= A
-    return SRDecomposition(S, R, E)
-
-
-def _sr_factors(A, theta: float) -> tuple[EquiangularMatrix, np.ndarray]:
-    """The factors S and R of ``sr_decompose`` for an ``as_matrix`` A, without the residual."""
     S, R, d, o = _sr_frame(A, theta)
     # R = T^-1 R_qr in place: row i is (R_qr[i] - o_i * sum of the later rows of R) / d_i.
     below = np.zeros(len(d))
@@ -155,7 +147,9 @@ def _sr_factors(A, theta: float) -> tuple[EquiangularMatrix, np.ndarray]:
         row -= o[i] * below
         row /= d[i]
         below += row
-    return S, R
+    E = S.mat @ R
+    E -= A
+    return SRDecomposition(S, R, E)
 
 
 def _sr_frame(A, theta: float):

@@ -48,7 +48,7 @@ class NotEquiangular(EqkitError):
 
 
 class NonRealRoots(EqkitError):
-    """The factorization polynomial has non-real roots; no real factor exists."""
+    """Float64 polynomial roots stay non-real after snapping, or the recovered spectrum is off by > 1e-7."""
 
     exit_code = 16
 

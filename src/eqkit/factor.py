@@ -162,10 +162,11 @@ def _root_solver(lambdas):
 
 
 def alpha_real_root_bound(lambdas, tol: float = 1e-6) -> float:
-    """Largest cosine for which the factorization polynomial stays all-real.
+    """The cosine where a bisection finds the float64 polynomial roots turning non-real.
 
     Bisects the all-real predicate over (1e-6, 1 - 1e-6); returns 0.0 when
-    even the smallest tested cosine already produces non-real roots.  The
+    even the smallest tested cosine already produces non-real roots.  Larger
+    cosines can factor too: the all-real set need not be one interval.  The
     roots come from :func:`_root_solver`, as d does in :func:`sdst_factor`,
     so the bound is the one ``poly_roots`` of ``build_poly`` gives, to the bit.
     """
@@ -265,8 +266,9 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
     InvalidShape
         A is smaller than 2 x 2: no two columns to share a cosine.
     NonRealRoots
-        The polynomial for this (spectrum, alpha) has non-real roots; no
-        real factorization exists at this cosine.
+        The float64 companion roots stay non-real after snapping, or the
+        spectrum recovered from them is off by more than 1e-7 max(1, max|lambda|).
+        A real factorization may still exist, as for diag(1..16) at 0.0095.
     MultiplicityUnsupported
         Repeated nonzero eigenvalues: the (n-1, 1) same-sign pattern is
         handled by :func:`two_eigenvalue_factor` instead, and a value

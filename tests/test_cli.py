@@ -19,8 +19,13 @@ import numpy as np
 import pytest
 
 import eqkit
+from eqkit import cli
 from eqkit.cli import build_parser, main
 from eqkit.doubly import dea
+from eqkit.ea import EquiangularMatrix, certify_equiangular, sr_decompose
+from eqkit.factor import sdst_factor
+from eqkit.frames import simplex_frame
+from eqkit.spectral import fast_inverse
 from eqkit.errors import InvalidAlpha, InvalidAngle, InvalidShape, IoError, ParseError
 from eqkit.io import read_matrix, write_matrix
 
@@ -227,6 +232,20 @@ def test_sr_theta_alpha_exclusive(hfile):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["inverse", "--bench"], "--bench: not allowed with argument input"),
+    (["sdst", "--alpha", "0.1", "--find-alpha-bound"], "--find-alpha-bound: not allowed with argument --alpha"),
+], ids=["inverse", "sdst"])
+def test_conflicting_modes_are_usage_errors(tmp_path, hfile, capsys, argv, message):
+    # Neither mode may be dropped silently: inverse FILE --bench would report FILE as the input of a sweep.
+    command, *opts = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(hfile), *opts, "--out", f"{tmp_path}/c_"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("c_*"))
+
+
 @pytest.mark.parametrize("argv", [["sr", "m.csv"], ["dea", "m.csv"], ["sdst", "m.csv"], ["frame", "--n", "2"],
                                   ["check", "m.csv"]], ids=lambda argv: argv[0])
 def test_seed_is_an_inverse_option_only(capsys, argv):
@@ -331,6 +350,70 @@ def test_inverse_rejects_non_equiangular(hfile, capsys):
     code, _, err = run_cli(capsys, "inverse", hfile)
     assert code == 15
     assert "does not certify" in err
+
+
+def test_sr_calls_sr_decompose_once(tmp_path, hfile, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sr_decompose(*args)
+
+    monkeypatch.setattr(cli, "sr_decompose", counted)
+    code, _, _ = run_cli(capsys, "sr", hfile, "--alpha", 0.5, "--out", f"{tmp_path}/")
+    assert code == 0 and len(calls) == 1
+
+
+OUTPUT_RUNS = {
+    "sr": ["sr", "--alpha", "0.3"],
+    "inverse": ["inverse"],
+    "sdst": ["sdst", "--alpha", "0.01"],
+    "dea": ["dea", "--alpha", "0.3"],
+    "frame": ["frame", "--n", "5"],
+}
+
+
+def _input_for(command, rng):
+    if command == "inverse":  # equiangular
+        return dea(rng.standard_normal((5, 5)), 0.4).mat
+    if command == "sdst":  # symmetric with spectrum 1..5
+        Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        return (Q * np.arange(1.0, 6.0)) @ Q.T
+    return rng.standard_normal((5, 5))
+
+
+def _library_outputs(command, A):
+    """The matrices each subcommand of OUTPUT_RUNS writes, computed by the library, by file name."""
+    if command == "sr":
+        dec = sr_decompose(A, math.acos(0.3))
+        return {"S": dec.S.mat, "R": dec.R}
+    if command == "inverse":
+        return {"inv": fast_inverse(EquiangularMatrix(A, certify_equiangular(A, 1e-10)))}
+    if command == "sdst":
+        fac = sdst_factor(A, 0.01)
+        return {"S": fac.S.mat, "D": fac.D.reshape(1, -1)}
+    if command == "dea":
+        return {"S": dea(A, 0.3).mat}
+    return {"S": simplex_frame(5).mat}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "mtx"])
+@pytest.mark.parametrize("run", OUTPUT_RUNS.values(), ids=OUTPUT_RUNS.keys())
+def test_output_files_are_the_library_results(tmp_path, capsys, run, fmt):
+    command, *opts = run
+    A, inputs = None, []
+    if command != "frame":
+        inputs = [tmp_path / f"a.{fmt}"]
+        write_matrix(inputs[0], _input_for(command, np.random.default_rng(7)))
+        A = read_matrix(inputs[0])
+    code, _, _ = run_cli(capsys, command, *inputs, *opts, "--format", fmt, "--out", f"{tmp_path}/o_")
+    assert code == 0
+    want = _library_outputs(command, A)
+    assert sorted(p.name for p in tmp_path.glob("o_*")) == sorted(f"o_{name}.{fmt}" for name in want)
+    for name, M in want.items():
+        ref = tmp_path / f"ref.{fmt}"
+        write_matrix(ref, M)
+        assert (tmp_path / f"o_{name}.{fmt}").read_bytes() == ref.read_bytes(), name
 
 
 def test_sdst_command(tmp_path, capsys):

@@ -271,9 +271,9 @@ def test_sr_near_unit_cosine_against_mpmath():
 
 
 def _eager_residual(A, alpha):
-    """The residual exactly as ``sr_decompose`` used to compute it, eagerly."""
-    S, R = ea._sr_factors(np.asarray(A, dtype=float), math.acos(alpha))
-    E = S.mat @ R
+    """The residual taken eagerly, from the S and R of a separate ``sr_decompose`` call."""
+    dec = sr_decompose(A, math.acos(alpha))
+    E = dec.S.mat @ dec.R
     E -= A
     return spectral_norm(E)
 

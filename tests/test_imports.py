@@ -4,6 +4,7 @@ Importing the package or the CLI must not load SciPy, and every CLI
 subcommand must run with SciPy made unimportable.  ``kernel.real_schur`` is
 the one function that needs it (the optional ``eqkit[schur]`` extra) and
 imports it on first use; without SciPy it raises an ImportError naming the extra.
+``from eqkit import *`` binds the public names and none of the submodules.
 """
 
 import json
@@ -45,6 +46,17 @@ def run_python(args, timeout=120):
                           timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_star_import_leaves_the_stdlib_io_alone():
+    import io
+    import types
+
+    namespace = {}
+    exec("import io\nfrom eqkit import *", namespace)
+    assert namespace["io"] is io
+    assert "sr_decompose" in namespace
+    assert not [name for name in eqkit.__all__ if isinstance(getattr(eqkit, name), types.ModuleType)]
 
 
 def test_import_does_not_load_scipy():
