@@ -79,7 +79,6 @@ from .io import read_matrix, write_matrix
 from .gram import (
     DualParams,
     GramParams,
-    SqrtParams,
     Structured,
     dual_params,
     gram_condition,

@@ -30,7 +30,7 @@ from .errors import (
     NotEquiangular,
 )
 from .factor import _require_basis, alpha_real_root_bound, sdst_factor
-from .frames import FrameSet, is_etf, simplex_frame, welch_alpha
+from .frames import is_etf, simplex_frame, welch_alpha
 from .gram import GramParams
 from .io import read_matrix, write_matrix
 from .kernel import generic_inverse, spectral_norm, sym_eig
@@ -132,7 +132,7 @@ def cmd_inverse(args) -> int:
     if args.bench:
         return _bench_inverse(args)
     if not args.input:
-        raise InvalidAngle("inverse needs an input file (or --bench)")
+        raise IoError("inverse needs an input file (or --bench)")
     M = _read_input(args)
     alpha = certify_equiangular(M, args.tol)
     if alpha is None:
@@ -235,7 +235,7 @@ def cmd_check(args) -> int:
     M = read_matrix(args.input)
     cert_cols = certify_equiangular(M, args.tol)
     cert_dbl = certify_doubly(M, args.tol) if M.shape[0] == M.shape[1] else None
-    etf = is_etf(FrameSet(M), args.tol)
+    etf = is_etf(M, args.tol)
     return _emit(_report("check", args, {}, {}, {
         "equiangular_alpha": cert_cols,
         "doubly_equiangular_alpha": cert_dbl,

@@ -13,11 +13,10 @@ scale: the output cosine and scale follow a closed composition law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .ea import _gram_cosine, _sr_frame
+from .ea import EquiangularMatrix, _gram_cosine, _sr_frame
 from .ea import certify_equiangular, sr_decompose  # noqa: F401  perfbench/spans.py traces eqkit.doubly.*
 from .errors import OutOfRange, RankDeficient, Singular
 from .gram import GramParams, gram_eigenvalues, gram_principal_sqrt
@@ -28,10 +27,8 @@ from .kernel import as_matrix, norm2_at_most, require_square
 SKIP_REFLECTION_TOL = 1e-12
 
 
-@dataclass
-class DoublyEquiangular:
-    mat: np.ndarray
-    alpha: float
+class DoublyEquiangular(EquiangularMatrix):
+    """A square equiangular matrix whose rows share its columns' cosine ``alpha``."""
 
 
 def row_sum_params(n: int, alpha: float) -> tuple[GramParams, float]:

@@ -161,13 +161,13 @@ def _root_solver(lambdas):
     return s, roots
 
 
-def alpha_real_root_bound(lambdas, tol: float = 1e-6) -> float:
+def alpha_real_root_bound(lambdas) -> float:
     """The cosine where a bisection finds the float64 polynomial roots turning non-real.
 
-    Bisects the all-real predicate over (1e-6, 1 - 1e-6); returns 0.0 when
-    even the smallest tested cosine already produces non-real roots.  Larger
-    cosines can factor too: the all-real set need not be one interval.  The
-    roots come from :func:`_root_solver`, as d does in :func:`sdst_factor`,
+    Bisects the all-real predicate over (1e-6, 1 - 1e-6) to a width of 1e-6;
+    returns 0.0 when even the smallest tested cosine already produces non-real
+    roots.  Larger cosines can factor too: the all-real set need not be one
+    interval.  The roots come from :func:`_root_solver`, as d does in :func:`sdst_factor`,
     so the bound is the one ``poly_roots`` of ``build_poly`` gives, to the bit.
     """
     _, roots = _root_solver(lambdas)
@@ -180,7 +180,7 @@ def alpha_real_root_bound(lambdas, tol: float = 1e-6) -> float:
         return 0.0
     if all_real(hi):
         return hi
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if all_real(mid):
             lo = mid
@@ -356,7 +356,7 @@ def schur_equiangular(A, alpha: float) -> tuple[EquiangularMatrix, np.ndarray]:
     return dec.S, T
 
 
-def equiangular_eigenvectors(A, tol: float = 1e-8):
+def equiangular_eigenvectors(A):
     """Detect whether A's eigenvectors form an equiangular family.
 
     Returns (alpha, S) where S's columns are unit eigenvectors of A at
@@ -385,11 +385,11 @@ def equiangular_eigenvectors(A, tol: float = 1e-8):
     X = np.real(X)
     scale = max(1.0, float(np.max(np.abs(w))))
 
-    if float(w.max() - w.min()) <= tol * scale:
+    if float(w.max() - w.min()) <= CLUSTER_RTOL * scale:
         # Single eigenvalue: only A = c I qualifies, and then any basis at
         # any cosine works; alpha = 0.5 by convention.
         lam = float(w.mean())
-        if norm2_at_most(A - lam * np.eye(n), tol * scale):
+        if norm2_at_most(A - lam * np.eye(n), CLUSTER_RTOL * scale):
             return 0.5, triangular_equiangular(GramParams(n, 0.5))
         return None
 
@@ -410,7 +410,7 @@ def equiangular_eigenvectors(A, tol: float = 1e-8):
 
     for i in range(n - 1):
         denom = T[i + 1, i + 1] - T[i, i]
-        if abs(denom) <= tol * scale:
+        if abs(denom) <= CLUSTER_RTOL * scale:
             continue
         rho = float(T[i, i + 1] / denom)
         root = math.sqrt(1.0 + rho * rho) - i * rho  # row i + 1, 1-based

@@ -9,7 +9,7 @@ coherence bound with equality, i.e. they are equiangular tight frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +25,12 @@ class FrameSet:
     vectors: np.ndarray
 
 
-@dataclass
-class SimplexFrame:
-    mat: np.ndarray  # n x (n+1), unit columns
-    n: int
-    alpha: float = field(default=0.0)
+class SimplexFrame(EquiangularMatrix):
+    """The n x (n+1) simplex frame: unit columns at the cosine ``alpha`` = -1/n."""
+
+    @property
+    def n(self) -> int:
+        return self.mat.shape[0]
 
     def as_frame(self) -> FrameSet:
         return FrameSet(self.mat)
@@ -49,7 +50,7 @@ def simplex_frame(n: int) -> SimplexFrame:
     n = int(n)
     rest = n - np.arange(n)  # n - i
     c = np.sqrt((n + 1.0) * rest / (n * (rest + 1.0)))
-    return SimplexFrame(_constant_rows(c, -c / rest, n + 1), n, -1.0 / n)
+    return SimplexFrame(_constant_rows(c, -c / rest, n + 1), -1.0 / n)
 
 
 def _vectors_of(F) -> np.ndarray:
@@ -78,8 +79,8 @@ class EtfReport:
         return self.ok
 
 
-def is_etf(F: FrameSet, tol: float = 1e-8) -> EtfReport:
-    """Check unit norms, constant |cosine| at the Welch bound, and tightness."""
+def is_etf(F: FrameSet | np.ndarray, tol: float = 1e-8) -> EtfReport:
+    """Check unit norms, constant |cosine| at the Welch bound, and tightness of F's columns."""
     V = _vectors_of(F)
     n, m = V.shape
     if n == 0 or m == 0:

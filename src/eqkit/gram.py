@@ -88,11 +88,6 @@ class Structured:
         np.fill_diagonal(m, self.s)
         return m
 
-    matrix = dense  # the name SqrtParams has always given it
-
-
-SqrtParams = Structured  # a root of G_alpha, by the name its (s, t) have always had
-
 
 @dataclass(frozen=True)
 class GramParams:
@@ -145,7 +140,7 @@ def gram_inverse(p: GramParams) -> np.ndarray:
     return p.operator.inverse().dense()
 
 
-def gram_principal_sqrt(p: GramParams) -> tuple[SqrtParams, np.ndarray]:
+def gram_principal_sqrt(p: GramParams) -> tuple[Structured, np.ndarray]:
     """Principal (positive definite) square root of the Gram matrix.
 
     Returns the root's operator together with the materialized matrix
@@ -156,7 +151,7 @@ def gram_principal_sqrt(p: GramParams) -> tuple[SqrtParams, np.ndarray]:
     return root, root.dense()
 
 
-def gram_sqrt_variants(p: GramParams) -> list[SqrtParams]:
+def gram_sqrt_variants(p: GramParams) -> list[Structured]:
     """Structured symmetric square roots of the Gram matrix.
 
     Index 0 is the principal root (eigenvalues +sqrt(1-a), +sqrt(1+(n-1)a));

@@ -11,6 +11,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import eqkit
-from eqkit import cli
+from eqkit import cli, errors
 from eqkit.cli import build_parser, main
 from eqkit.doubly import dea
 from eqkit.ea import EquiangularMatrix, certify_equiangular, sr_decompose
@@ -275,6 +276,28 @@ def test_missing_input_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sr", tmp_path / "absent.csv", "--alpha", 0.5)
     assert code == 10
     assert "cannot read" in err
+
+
+def test_inverse_without_input_is_io_error(tmp_path, capsys):
+    # No file to read is an I/O error, not an angle error.
+    code = main(["inverse", "--out", f"{tmp_path}/o_"])
+    captured = capsys.readouterr()
+    assert code == IoError.exit_code == 10
+    assert (captured.out, captured.err) == ("", "eqkit inverse: inverse needs an input file (or --bench)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_lists_every_exit_code():
+    path = Path(__file__).resolve().parents[1] / "README.md"
+    if not path.exists():
+        pytest.skip("no README.md next to tests/")
+    listed = dict(re.findall(r"^\| (\d+) \| `(\w+)` \|", path.read_text(encoding="utf-8"), re.M))
+    classes = {
+        str(cls.exit_code): cls.__name__
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.EqkitError) and cls is not errors.EqkitError
+    }
+    assert listed == classes
 
 
 def test_unparseable_input_exit_code(tmp_path, capsys):

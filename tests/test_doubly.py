@@ -13,7 +13,7 @@ from eqkit.doubly import (
     dem_product_params,
     row_sum_params,
 )
-from eqkit.ea import random_equiangular, sr_decompose
+from eqkit.ea import EquiangularMatrix, random_equiangular, sr_decompose
 from eqkit.errors import InvalidAlpha, NotSquare, Singular
 from eqkit.gram import GramParams, gram_matrix
 
@@ -134,7 +134,7 @@ def test_certify_rejections(rng):
 
 def test_certify_accepts_wrapper_object(hilbert4):
     out = dea(hilbert4, 0.25)
-    assert isinstance(out, DoublyEquiangular)
+    assert isinstance(out, DoublyEquiangular) and isinstance(out, EquiangularMatrix)
     assert certify_doubly(out) is not None
 
 

@@ -21,7 +21,7 @@ from eqkit.ea import (
     sr_decompose,
     triangular_equiangular,
 )
-from eqkit.errors import DegenerateAngle, InvalidAngle, RankDeficient
+from eqkit.errors import DegenerateAngle, InvalidAngle, NotSquare, RankDeficient
 from eqkit.gram import GramParams, gram_matrix, gram_principal_sqrt, gram_sqrt_inverse
 from eqkit.kernel import spectral_norm
 
@@ -133,6 +133,13 @@ def test_obtuse_third_vector():
     assert np.abs(S.mat.T @ S.mat - gram_matrix(GramParams(3, -0.25))).max() <= 1e-12
 
 
+@pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 2, math.pi])
+def test_obtuse_angle_range(theta):
+    S1 = EquiangularMatrix(np.eye(3)[:, :1], 0.0)
+    with pytest.raises(InvalidAngle):
+        next_equiangular_obtuse(S1, np.array([0.0, 1.0, 0.0]), theta)
+
+
 def test_obtuse_degenerate_boundary():
     # two vectors at cos(Theta) = -1/2 exist; a third does not
     S2 = sr_decompose(np.eye(3)[:, :2], math.acos(-0.5)).S
@@ -204,6 +211,8 @@ def test_rank_deficient_rejected():
     A = np.ones((4, 3))
     with pytest.raises(RankDeficient):
         sr_decompose(A, math.pi / 3)
+    with pytest.raises(RankDeficient, match="3 columns cannot be independent in dimension 2"):
+        sr_decompose(np.eye(2, 3), math.pi / 3)
 
 
 def test_angle_too_wide_for_columns():
@@ -434,6 +443,11 @@ def test_polar_orthogonality_and_reconstruction(hilbert4):
         assert np.linalg.norm(Q.T @ Q - np.eye(n), 2) <= 1e-10
         _, sbar = gram_principal_sqrt(GramParams(n, S.alpha))
         assert np.linalg.norm(Q @ sbar - S.mat, 2) <= 1e-10
+
+
+def test_polar_needs_a_square_system():
+    with pytest.raises(NotSquare):
+        polar_orthogonal_factor(random_equiangular(3, 0.3, rng=0, m=2))
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 1024])

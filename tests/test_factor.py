@@ -535,6 +535,30 @@ def test_sdst_random_distinct_spectra(rng):
         done += 1
 
 
+def _factor_lambda_1_16():
+    """sdst_factor(diag(1..16), 0.0095), held to the bounds a factorization must meet."""
+    A = np.diag(np.arange(1.0, 17.0))
+    f = sdst_factor(A, 0.0095)
+    S = f.S.mat
+    assert spectral_norm((S * f.D) @ S.T - A) <= 1.6e-8
+    assert np.abs(S.T @ S - gram_matrix(GramParams(16, 0.0095))).max() <= 1e-9
+
+
+def test_sdst_of_lambda_1_16_factors_or_raises_non_real_roots():
+    # The benchmark's sdst_lambda_1_16 op: perfbench/cases.py expects a failure of
+    # exactly this class, and the recovered-spectrum gate raises it here today.
+    try:
+        _factor_lambda_1_16()
+    except NonRealRoots:
+        pass
+
+
+@pytest.mark.xfail(strict=True, raises=NonRealRoots,
+                   reason="ROADMAP item 1: the companion route misses the real factorization that exists")
+def test_sdst_of_lambda_1_16_factors():
+    _factor_lambda_1_16()
+
+
 def test_counterexample_spectra_have_no_real_factorization():
     # k equal values with 2 <= k <= n-2: polynomial goes complex or the
     # reconstructed spectrum misses the target; sdst_factor refuses either way
@@ -567,6 +591,13 @@ def test_schur_equiangular_round_trip(rng):
     assert np.linalg.norm(S.mat @ T @ inv - A, 2) <= 1e-8 * np.linalg.norm(A, 2)
     # quasi-triangular: nothing below the first subdiagonal
     assert np.allclose(np.tril(T, -2), 0.0)
+
+
+@pytest.mark.parametrize("alpha", [1.0, -0.1])
+def test_schur_equiangular_alpha_range(alpha):
+    # Checked before SciPy is imported, so this runs without it.
+    with pytest.raises(InvalidAlpha, match="need 0 <= alpha < 1"):
+        schur_equiangular(np.eye(3), alpha)
 
 
 def test_schur_equiangular_takes_no_2_norm(rng, monkeypatch):

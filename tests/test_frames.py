@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from eqkit.ea import EquiangularMatrix
 from eqkit.errors import InvalidShape, NotSpanning
 from eqkit.factor import two_eigenvalue_factor
 from eqkit.frames import (
     FrameSet,
+    SimplexFrame,
     augment_to_orthogonal,
     frame_bounds,
     is_etf,
@@ -19,6 +21,14 @@ def test_base_case():
     sf = simplex_frame(1)
     assert np.array_equal(sf.mat, [[1.0, -1.0]])
     assert sf.alpha == -1.0
+
+
+def test_simplex_frame_is_an_equiangular_matrix():
+    sf = simplex_frame(4)
+    assert isinstance(sf, EquiangularMatrix)
+    assert (sf.n, sf.alpha, sf.mat.shape) == (4, -0.25, (4, 5))
+    again = SimplexFrame(sf.mat, sf.alpha)
+    assert again.n == 4 and again.as_frame().vectors is sf.mat
 
 
 def test_s2_closed_form():
@@ -141,6 +151,21 @@ def test_etf_failure_reporting():
     assert "unit_norms" in rep.failed
     V = np.array([[1.0, 0.6, 0.0], [0.0, 0.8, 1.0]])
     assert "constant_coherence" in is_etf(FrameSet(V)).failed
+
+
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+# The six diagonals of the icosahedron: lines in R^3 whose |cosines| all equal 1/sqrt(5).
+ICOSAHEDRON_DIAGONALS = np.array(
+    [[0.0, 1.0, _PHI], [0.0, -1.0, _PHI], [1.0, _PHI, 0.0], [-1.0, _PHI, 0.0], [_PHI, 0.0, 1.0], [_PHI, 0.0, -1.0]]
+).T / math.sqrt(1.0 + _PHI**2)
+
+
+@pytest.mark.parametrize("m, failed", [(4, ["welch_bound", "tight"]), (5, ["welch_bound", "tight"]), (6, [])])
+def test_etf_icosahedron_diagonals(m, failed):
+    # 1/sqrt(5) is above the Welch bounds 1/3 (m = 4) and 1/sqrt(6) (m = 5) and equals it at m = 6.
+    rep = is_etf(FrameSet(ICOSAHEDRON_DIAGONALS[:, :m]))
+    assert rep.failed == failed
+    assert rep.coherence == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -151,7 +151,7 @@ def test_sqrt_eigenvalue_structure(rng):
 def test_variants_fixture():
     v = gram_sqrt_variants(GramParams(3, 0.5))
     assert len(v) == 2
-    M = v[1].matrix(3)
+    M = v[1].dense(3)
     assert np.abs(np.diag(M)).max() <= 1e-12
     assert np.abs(M[~np.eye(3, dtype=bool)] - 0.7071).max() <= 1.5e-4
     _, lam = sym_eig(M)
@@ -182,7 +182,7 @@ def test_variants_at_zero():
     assert v[0].s == pytest.approx(1.0) and v[0].t == pytest.approx(0.0, abs=1e-15)
     for sp in v[1:]:
         # any further real root must still square to the identity
-        M = sp.matrix(4)
+        M = sp.dense(4)
         assert np.allclose(M @ M, np.eye(4), atol=1e-12)
 
 
@@ -265,7 +265,6 @@ def test_no_caller_builds_a_member_it_does_not_return(monkeypatch, tmp_path, cap
         raise AssertionError("an n x n member of span{I, ee^T} was built")
 
     monkeypatch.setattr(Structured, "dense", refuse)
-    monkeypatch.setattr(Structured, "matrix", refuse)
     S = random_equiangular(6, 0.3, np.random.default_rng(1))
     polar_orthogonal_factor(S)
     fast_inverse(S)

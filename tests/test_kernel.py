@@ -159,6 +159,10 @@ class TestPolyRoots:
         with pytest.raises(DegreeZero):
             poly_roots([2.0])
 
+    def test_zero_leading_coefficient_rejected(self):
+        with pytest.raises(DegreeZero, match="leading coefficient is zero"):
+            poly_roots([0.0, 1.0, 2.0])
+
     def test_deterministic_ordering(self):
         a = poly_roots([1.0, -2.0, 1.0 / 0.75])
         b = poly_roots([1.0, -2.0, 1.0 / 0.75])
@@ -261,6 +265,11 @@ class TestGenericInverse:
     def test_singular_rejected(self):
         with pytest.raises(Singular):
             generic_inverse(np.ones((3, 3)))
+
+    def test_empty(self):
+        ops = OpCounter()
+        X = generic_inverse(np.zeros((0, 0)), ops=ops)
+        assert X.shape == (0, 0) and ops.total == 0
 
     def test_op_count_cubic(self):
         # the LU factor/solve tally should track (8/3) n^3 to leading order

@@ -143,6 +143,8 @@ class TestEigRelation:
         S = random_equiangular(4, 0.3, rng=9)
         with pytest.raises(NotEigenpair):
             eig_relation_check(S, 1.0, np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(NotEigenpair, match="zero eigenvector"):
+            eig_relation_check(S, 1.0, np.zeros(4))
 
     def test_random_suite(self, rng):
         for _ in range(10):
