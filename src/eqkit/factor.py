@@ -11,8 +11,9 @@ provided the monic polynomial
 the d's; one companion-matrix solver gives them to both the factorization
 and the bound on alpha.  Spectra with a repeated eigenvalue are handled
 separately: the (n-1, 1) two-value pattern factors in closed form as
-A = r S S^T, while an eigenvalue repeated k times with 2 <= k <= n-2 admits
-no real factorization at any alpha.  Zero eigenvalues (at most n-2 of them)
+A = r S S^T, while an eigenvalue repeated k times with 2 <= k <= n-2 is not
+supported, although such spectra can factor (k+1 of the d's equal
+lambda / (1 - alpha)).  Zero eigenvalues (at most n-2 of them)
 ride along by factoring the nonzero block and extending the basis by the S
 factor alone of an SR factorization.
 
@@ -61,7 +62,6 @@ class PolySpec:
     """Monic factorization polynomial; coeffs descending."""
 
     coeffs: np.ndarray
-    alpha: float
 
 
 @dataclass
@@ -98,7 +98,7 @@ def build_poly(lambdas, alpha: float) -> PolySpec:
     """Monic polynomial whose roots are the candidate diagonal entries d_i."""
     c = sdst_coefficients(lambdas, alpha)
     coeffs = np.concatenate(([1.0], c * (-1.0) ** np.arange(1, c.size + 1)))
-    return PolySpec(coeffs=coeffs, alpha=float(alpha))
+    return PolySpec(coeffs)
 
 
 def nonreal_root_certificate(poly: PolySpec) -> int:
@@ -107,40 +107,28 @@ def nonreal_root_certificate(poly: PolySpec) -> int:
     return int(np.count_nonzero(roots.imag != 0.0))
 
 
-def _poly_scale(lambdas) -> tuple[np.ndarray, float]:
-    """``lambdas / s`` and s, a power of two that keeps the polynomial finite.
-
-    s is 1 unless some e_k(lambdas) overflows; then it is the power of two
-    just above max |lambda|.  c_k is homogeneous of degree k in lambda, so the
-    roots of the scaled polynomial are the roots d divided by s exactly, and
-    whether they are all real does not depend on s.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    n = lam.size
-    e = math.frexp(float(np.abs(lam).max()))[1] if n else 0
-    # e_k < C(n, k) 2^(e k) <= 2^(n (1 + max(e, 0))), so most spectra need no look at e_k.
-    if n * (1 + max(e, 0)) < 1000:
-        return lam, 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(elementary_symmetric(lam)).all():
-            return lam, 1.0
-    s = math.ldexp(1.0, e)
-    return lam / s, s
-
-
 def _root_solver(lambdas):
-    """:func:`_poly_scale`'s s and ``roots(alpha)``, the snapped roots for lambdas / s.
+    """s and ``roots(alpha)``, the snapped roots of the polynomial for lambdas / s.
 
-    e_k is formed once; each alpha rewrites row 0 of one companion matrix, laid
-    out as ``np.roots`` lays it out, with -c(alpha), and ``np.roots``' zero roots
+    s is 1 unless some e_k(lambdas) is not finite; then it is the power of two
+    just above max |lambda|, and e_k is formed again from lambdas / s.  c_k is
+    homogeneous of degree k in lambda, so the roots for lambdas / s are the
+    roots d divided by s exactly, and whether they are all real does not
+    depend on s.  Each alpha rewrites row 0 of one companion matrix, laid out
+    as ``np.roots`` lays it out, with -c(alpha), and ``np.roots``' zero roots
     for trailing zero coefficients follow its eigenvalues.  So the roots are
     ``poly_roots(build_poly(lambdas / s, alpha).coeffs)`` to the bit, up to order.
     """
-    lambdas, s = _poly_scale(lambdas)
+    lambdas = np.asarray(lambdas, dtype=float)
     n = lambdas.size
     if not n:
         raise DegreeZero("polynomial must have degree >= 1")
-    e = elementary_symmetric(lambdas)[1:]
+    s = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = elementary_symmetric(lambdas)[1:]
+        if not np.isfinite(e).all():
+            s = math.ldexp(1.0, math.frexp(float(np.abs(lambdas).max()))[1])
+            e = elementary_symmetric(lambdas / s)[1:]
     # The denominators lie in (0, 1], so c_k is zero exactly where e_k is.
     # np.roots drops trailing zero coefficients as real zero roots: the
     # companion matrix stops at the last nonzero e_k.
@@ -189,16 +177,9 @@ def alpha_real_root_bound(lambdas) -> float:
     return lo
 
 
-def _clusters(values: np.ndarray, scale: float):
-    """Group ascending values into equal-within-tolerance runs."""
-    groups = []
-    tol = CLUSTER_RTOL * scale
-    for v in values:
-        if groups and abs(v - groups[-1][-1]) <= tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return groups
+def _clusters(values: np.ndarray, scale: float) -> list[np.ndarray]:
+    """Split ascending values into runs whose neighbours lie within CLUSTER_RTOL * scale."""
+    return np.split(values, np.flatnonzero(np.diff(values) > CLUSTER_RTOL * scale) + 1)
 
 
 def _fix_column_signs(Q: np.ndarray) -> np.ndarray:
@@ -206,6 +187,12 @@ def _fix_column_signs(Q: np.ndarray) -> np.ndarray:
     idx = np.argmax(np.abs(Q), axis=0)
     signs = np.where(Q[idx, np.arange(Q.shape[1])] < 0, -1.0, 1.0)
     return Q * signs
+
+
+def _require_basis(n: int) -> None:
+    """InvalidShape unless n >= 2: one column has no cosine to share with another."""
+    if n < 2:
+        raise InvalidShape(f"a basis at a common cosine needs n >= 2 columns, got a {n} x {n} matrix")
 
 
 def two_eigenvalue_factor(A) -> tuple[float, EquiangularMatrix]:
@@ -217,9 +204,9 @@ def two_eigenvalue_factor(A) -> tuple[float, EquiangularMatrix]:
     and lam2 = r (1 + (n-1) alpha) simple; the cosine is negative when the
     repeated value dominates in magnitude.
     """
-    A = require_square(as_matrix(A))
     Q, w = sym_eig(A)
     n = w.size
+    _require_basis(n)
     scale = max(1.0, float(np.max(np.abs(w))))
     if float(np.min(np.abs(w))) <= CLUSTER_RTOL * scale:
         raise WrongSpectrum("matrix is singular")
@@ -244,12 +231,6 @@ def two_eigenvalue_factor(A) -> tuple[float, EquiangularMatrix]:
     return float(r), EquiangularMatrix(GramParams(n, alpha).operator.sqrt().right_multiply(X), float(alpha))
 
 
-def _require_basis(n: int) -> None:
-    """InvalidShape unless n >= 2: one column has no cosine to share with another."""
-    if n < 2:
-        raise InvalidShape(f"a basis at a common cosine needs n >= 2 columns, got a {n} x {n} matrix")
-
-
 def sdst_factor(A, alpha: float) -> SDSTFactorization:
     """Factor symmetric A as S diag(d) S^T with S equiangular at ``alpha``.
 
@@ -272,7 +253,8 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
     MultiplicityUnsupported
         Repeated nonzero eigenvalues: the (n-1, 1) same-sign pattern is
         handled by :func:`two_eigenvalue_factor` instead, and a value
-        repeated k times with 2 <= k <= n-2 admits no factorization at all.
+        repeated k times with 2 <= k <= n-2 is not supported, although such
+        a spectrum can factor.
     """
     A = require_square(as_matrix(A))
     if not 0.0 < alpha < 1.0:
@@ -295,9 +277,7 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
             raise MultiplicityUnsupported(
                 "two-value (n-1, 1) spectrum: use two_eigenvalue_factor"
             )
-        raise MultiplicityUnsupported(
-            "repeated nonzero eigenvalues admit no real factorization here"
-        )
+        raise MultiplicityUnsupported("repeated nonzero eigenvalues are not supported; a factorization may still exist")
     # A single all-equal group (e.g. A = r I) is allowed through: its
     # polynomial provably has non-real roots and the error surfaces below.
 
@@ -342,6 +322,8 @@ def schur_equiangular(A, alpha: float) -> tuple[EquiangularMatrix, np.ndarray]:
     A = require_square(as_matrix(A))
     if not 0.0 <= alpha < 1.0:
         raise InvalidAlpha(f"need 0 <= alpha < 1, got {alpha!r}")
+    if not A.size:
+        raise InvalidShape("a Schur basis needs at least one column, got a 0 x 0 matrix")
     Qs, Ts = real_schur(A)
     dec = sr_decompose(Qs, math.acos(alpha))
     R = dec.R
@@ -349,9 +331,8 @@ def schur_equiangular(A, alpha: float) -> tuple[EquiangularMatrix, np.ndarray]:
     n = A.shape[0]
     sub_tol = 1e-11 * max(1.0, float(np.abs(Ts).max()))
     keep = np.triu(np.ones((n, n), dtype=bool))
-    sub = np.abs(np.diag(Ts, -1)) > sub_tol  # genuine 2x2 Schur blocks
-    for i in np.flatnonzero(sub):
-        keep[i + 1, i] = True
+    i = np.flatnonzero(np.abs(np.diag(Ts, -1)) > sub_tol)  # genuine 2x2 Schur blocks
+    keep[i + 1, i] = True
     T[~keep] = 0.0
     return dec.S, T
 
@@ -374,10 +355,12 @@ def equiangular_eigenvectors(A):
 
     and the candidate must then pass the global check T shat = shat diag(T).
 
-    Raises ComplexSpectrum when A has non-real eigenvalues.
+    Raises InvalidShape when A is smaller than 2 x 2 and ComplexSpectrum when
+    A has non-real eigenvalues.
     """
     A = require_square(as_matrix(A))
     n = A.shape[0]
+    _require_basis(n)
     w, X = np.linalg.eig(A)
     if np.count_nonzero(snap_real(w).imag):
         raise ComplexSpectrum("matrix has non-real eigenvalues")

@@ -148,10 +148,26 @@ def _reference_roots(lambdas, alpha: float) -> np.ndarray:
         raise OutOfRange(f"factorization polynomial overflows float64 at alpha={alpha!r}") from exc
 
 
+def _poly_scale_reference(lambdas) -> tuple[np.ndarray, float]:
+    """``lambdas / s`` and s by the earlier two-step rule: an exponent bound,
+    then a look at e_k only when that bound allows an overflow."""
+    lam = np.asarray(lambdas, dtype=float)
+    n = lam.size
+    e = math.frexp(float(np.abs(lam).max()))[1] if n else 0
+    # e_k < C(n, k) 2^(e k) <= 2^(n (1 + max(e, 0))), so most spectra need no look at e_k.
+    if n * (1 + max(e, 0)) < 1000:
+        return lam, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(elementary_symmetric(lam)).all():
+            return lam, 1.0
+    s = math.ldexp(1.0, e)
+    return lam / s, s
+
+
 def _bound_reference(lambdas, tol: float = 1e-6, roots=_reference_roots) -> float:
     """The bisection with its first predicate: every tested cosine builds the
     polynomial anew and takes its roots with ``poly_roots``."""
-    lambdas, _ = factor._poly_scale(lambdas)
+    lambdas, _ = _poly_scale_reference(lambdas)
 
     def all_real(a: float) -> bool:
         return not np.count_nonzero(roots(lambdas, a).imag)
@@ -254,6 +270,53 @@ def test_bound_solves_the_np_roots_companion_at_the_reference_cosines(rng, monke
             assert M.dtype == want.dtype and M.tobytes() == want.tobytes()
 
 
+OVERFLOW_SPECTRA = [
+    2.0**700 * np.array([1.0, 2.0, 3.0, 5.0]),
+    np.array([1e300, -1e300, 1e300]),  # e_k goes to -inf, then inf - inf
+    1e150 * np.arange(1.0, 14.0),
+    2.0**-400 * np.arange(1.0, 14.0),  # tiny: no overflow, s stays 1
+    np.full(500, 1.5),  # past the earlier exponent bound, yet every e_k is finite
+]
+
+
+@pytest.mark.parametrize("family", sorted(BOUND_FAMILIES) + ["overflow"])
+def test_root_solver_scale_matches_the_two_step_rule(rng, family):
+    spectra = OVERFLOW_SPECTRA if family == "overflow" else BOUND_FAMILIES[family](rng)
+    scales = []
+    for lam in spectra:
+        s = factor._root_solver(lam)[0]
+        assert s == _poly_scale_reference(lam)[1], lam
+        scales.append(s)
+    assert (family in ("overflow", "rescaled_2_700")) == any(s != 1.0 for s in scales)
+
+
+def _clusters_reference(values, scale):
+    """The earlier loop: group ascending values into equal-within-tolerance runs."""
+    groups = []
+    tol = factor.CLUSTER_RTOL * scale
+    for v in values:
+        if groups and abs(v - groups[-1][-1]) <= tol:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    return groups
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_clusters_match_the_loop(rng, scale):
+    tol = factor.CLUSTER_RTOL * scale
+    above = np.nextafter(tol, np.inf)
+    spectra = [np.array([0.0, tol]), np.array([0.0, above]), np.array([-above, 0.0, tol, 2.0 * tol])]
+    gaps = np.array([0.0, 0.5 * tol, tol, above, scale])
+    spectra += [np.cumsum(rng.choice(gaps, int(rng.integers(1, 12)))) for _ in range(2000)]
+    diffs = np.concatenate([np.diff(v) for v in spectra])
+    assert np.count_nonzero(diffs == tol) >= 100 and np.count_nonzero(diffs == above) >= 100
+    for values in spectra:
+        got, want = factor._clusters(values, scale), _clusters_reference(values, scale)
+        assert [g.tobytes() for g in got] == [np.array(g).tobytes() for g in want], values
+        assert [np.mean(g) for g in got] == [np.mean(g) for g in want], values
+
+
 def test_bound_forms_elementary_symmetric_once(monkeypatch):
     calls = []
 
@@ -267,6 +330,23 @@ def test_bound_forms_elementary_symmetric_once(monkeypatch):
 
 
 # ---- two_eigenvalue_factor -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, n",
+    [
+        (two_eigenvalue_factor, 0),
+        (two_eigenvalue_factor, 1),
+        (equiangular_eigenvectors, 0),
+        (equiangular_eigenvectors, 1),
+        (lambda A: schur_equiangular(A, 0.3), 0),  # refused before SciPy is imported
+    ],
+    ids=["two_eigenvalue_0", "two_eigenvalue_1", "eigenvectors_0", "eigenvectors_1", "schur_0"],
+)
+def test_too_small_for_a_basis_is_invalid_shape(call, n):
+    with pytest.raises(InvalidShape, match=f"got a {n} x {n} matrix") as exc:
+        call(np.eye(n))
+    assert exc.value.exit_code == 27
 
 
 def test_two_eigenvalue_direct_case():
@@ -403,7 +483,7 @@ def _sdst_reference(A, alpha):
     zero = np.abs(w) <= factor.CLUSTER_RTOL * scale
     lam = w[~zero]
     m, n_zero = lam.size, n - lam.size
-    lam_poly, s = factor._poly_scale(lam)
+    lam_poly, s = _poly_scale_reference(lam)
     roots = _reference_roots(lam_poly, alpha)
     if np.any(roots.imag != 0.0):
         raise NonRealRoots(f"{int(np.count_nonzero(roots.imag != 0))} non-real roots at alpha={alpha!r}")
@@ -578,6 +658,23 @@ def test_counterexample_spectra_have_no_real_factorization():
                 M = sbar @ np.diag(np.sort(roots.real)) @ sbar
                 mu = np.sort(np.linalg.eigvalsh(M))
                 assert np.abs(mu - np.sort(lam)).max() > 1e-7
+
+
+def test_repeated_eigenvalue_factors_though_sdst_refuses():
+    """d = (2, 2, 2, 1, 5) at alpha = 0.3: three equal d's put 2 (1 - alpha) = 1.4
+    in the spectrum twice, and S = Y^T Sbar factors A = diag(lambda).  sdst_factor
+    refuses the repeated value, and its text must not say that no factorization exists."""
+    alpha, d = 0.3, np.array([2.0, 2.0, 2.0, 1.0, 5.0])
+    G = gram_matrix(GramParams(5, alpha))
+    _, sbar = gram_principal_sqrt(GramParams(5, alpha))
+    lam, Y = np.linalg.eigh(sbar @ np.diag(d) @ sbar)
+    assert np.count_nonzero(np.abs(lam - 1.4) <= 1e-12) == 2
+    A, S = np.diag(lam), Y.T @ sbar
+    assert spectral_norm((S * d) @ S.T - A) <= 1e-13
+    assert np.abs(S.T @ S - G).max() <= 1e-14
+    with pytest.raises(MultiplicityUnsupported) as exc:
+        sdst_factor(A, alpha)
+    assert "not supported" in str(exc.value) and "no real factorization" not in str(exc.value)
 
 
 # ---- similarity forms ------------------------------------------------------
