@@ -232,7 +232,7 @@ def cmd_frame(args) -> int:
 
 
 def cmd_check(args) -> int:
-    M = read_matrix(args.input)
+    M = _read_input(args)
     cert_cols = certify_equiangular(M, args.tol)
     cert_dbl = certify_doubly(M, args.tol) if M.shape[0] == M.shape[1] else None
     etf = is_etf(M, args.tol)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .ea import EquiangularMatrix, _gram_cosine, _sr_frame
+from .ea import EquiangularMatrix, _gram, _gram_cosine, _sr_frame
 from .ea import certify_equiangular, sr_decompose  # noqa: F401  perfbench/spans.py traces eqkit.doubly.*
 from .errors import OutOfRange, RankDeficient, Singular
 from .gram import GramParams, gram_eigenvalues, gram_principal_sqrt
@@ -76,11 +76,8 @@ def certify_doubly(M, tol: float = 1e-8):
     n = M.shape[0]
     if n == 0:
         return None
-    with np.errstate(over="ignore"):  # an overflowed Gram entry fails the unit-norm test
-        G_cols = M.T @ M
-        G_rows = M @ M.T
-    a_cols = _gram_cosine(G_cols, tol)
-    a_rows = _gram_cosine(G_rows, tol)
+    G_cols, G_rows = _gram(M), _gram(M.T)
+    a_cols, a_rows = _gram_cosine(G_cols, tol), _gram_cosine(G_rows, tol)
     if a_cols is None or a_rows is None or abs(a_cols - a_rows) > tol:
         return None
     alpha = 0.5 * (a_cols + a_rows)

@@ -209,20 +209,25 @@ def certify_equiangular(M, tol: float = 1e-8):
     M = as_matrix(getattr(M, "mat", M))
     if M.shape[1] == 0:
         return None
-    with np.errstate(over="ignore"):  # an overflowed Gram entry fails the unit-norm test
-        G = M.T @ M
-    return _gram_cosine(G, tol)
+    return _gram_cosine(_gram(M), tol)
+
+
+def _gram(X: np.ndarray) -> np.ndarray:
+    """X^T X, the one Gram product of every certificate."""
+    with np.errstate(over="ignore"):  # an overflowed entry fails the unit-norm test that reads it
+        return X.T @ X
 
 
 def _gram_cosine(G: np.ndarray, tol: float):
     """The common cosine certified by the m x m Gram matrix G (m >= 1), or None."""
-    m = G.shape[0]
-    if float(np.max(np.abs(np.diag(G) - 1.0))) > tol:
-        return None
-    if m == 1:
-        return 0.0
-    mean, constant = _near_constant(_off_diagonal(G), tol)
-    return mean if constant else None
+    unit, mean, constant = _unit_spread(G, _off_diagonal(G), tol)
+    return mean if unit and constant else None
+
+
+def _unit_spread(G: np.ndarray, off: np.ndarray, tol: float) -> tuple[bool, float, bool]:
+    """Whether diag(G) is 1 within ``tol``, then ``_near_constant(off, tol)``, or 0.0 and True for an empty ``off``."""
+    unit = float(np.max(np.abs(np.diag(G) - 1.0))) <= tol
+    return (unit, *(_near_constant(off, tol) if off.size else (0.0, True)))
 
 
 def _off_diagonal(G: np.ndarray) -> np.ndarray:
@@ -248,6 +253,8 @@ def polar_orthogonal_factor(S: EquiangularMatrix) -> np.ndarray:
     M = as_matrix(S.mat)
     if M.shape[0] != M.shape[1]:
         raise NotSquare("polar splitting is defined for square systems")
+    if M.shape[0] == 1:  # G = [1] at every cosine, so S is its own polar factor
+        return M.copy()
     return GramParams(M.shape[0], S.alpha).operator.sqrt().inverse().right_multiply(M)
 
 

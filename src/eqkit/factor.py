@@ -334,7 +334,7 @@ def schur_equiangular(A, alpha: float) -> tuple[EquiangularMatrix, np.ndarray]:
     i = np.flatnonzero(np.abs(np.diag(Ts, -1)) > sub_tol)  # genuine 2x2 Schur blocks
     keep[i + 1, i] = True
     T[~keep] = 0.0
-    return dec.S, T
+    return EquiangularMatrix(dec.S.mat, float(alpha)), T  # labelled alpha, not cos(acos(alpha))
 
 
 def equiangular_eigenvectors(A):

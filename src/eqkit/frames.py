@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ea import EquiangularMatrix, _constant_rows, _near_constant, _off_diagonal
+from .ea import EquiangularMatrix, _constant_rows, _gram, _off_diagonal, _unit_spread
 from .errors import InvalidShape, NotSpanning
 from .kernel import as_matrix, norm2_at_most, sym_eig
 
@@ -85,19 +85,15 @@ def is_etf(F: FrameSet | np.ndarray, tol: float = 1e-8) -> EtfReport:
     n, m = V.shape
     if n == 0 or m == 0:
         raise InvalidShape(f"a frame needs at least one vector of dimension >= 1, got shape {V.shape}")
-    failed = []
-    with np.errstate(over="ignore"):  # an overflowed Gram entry fails unit_norms
-        G = V.T @ V
-    if float(np.max(np.abs(np.diag(G) - 1.0))) > tol:
-        failed.append("unit_norms")
-    coherence, constant = _near_constant(_off_diagonal(np.abs(G, out=G)), tol) if m > 1 else (0.0, True)
+    G = _gram(V)
+    unit, coherence, constant = _unit_spread(G, np.abs(_off_diagonal(G)), tol)
+    failed = [] if unit else ["unit_norms"]
     if not constant:
         failed.append("constant_coherence")
     elif m > n and abs(coherence - welch_alpha(n, m)) > tol:
         failed.append("welch_bound")
     del G  # freed before the frame operator W is formed
-    with np.errstate(over="ignore"):
-        W = V @ V.T
+    W = _gram(V.T)
     frame_constant = float(np.trace(W)) / n
     # |W_ij| <= (W_ii + W_jj) / 2, so a finite trace means a finite W; an
     # overflowed frame operator is not tight.

@@ -43,6 +43,8 @@ def fast_inverse(S: EquiangularMatrix, ops: OpCounter | None = None) -> np.ndarr
     n = M.shape[0]
     if n != M.shape[1]:
         raise NotSquare("structured inverse is defined for square systems")
+    if n == 1:  # G = [1] at every cosine, so S^-1 = S^T
+        return M.T.copy()
     d = dual_params(GramParams(n, S.alpha))
     inv = Structured.gram(n, d.alpha_prime).left_multiply(M.T)  # G^-1 S^T, G^-1 = beta G_alpha'
     inv *= d.beta

@@ -238,8 +238,8 @@ def test_criterion_09():
         for r in (1.0, -1.0, 2.0, -2.0):
             for alpha in np.arange(0.1, 0.95, 0.1):
                 assert nonreal_root_certificate(build_poly([r] * n, float(alpha))) >= 2
-    # spectra with k equal values, 2 <= k <= n-2: refusal plus an
-    # independent check that no real factorization exists
+    # spectra with k equal values, 2 <= k <= n-2: refusal, plus a check that
+    # the float64 candidate d, where its roots are real, misses the spectrum
     for n in (4, 5, 6):
         for k in range(2, n - 1):
             lam = np.array([1.0] * k + list(2.0 + np.arange(n - k)))

@@ -25,7 +25,7 @@ from eqkit.cli import build_parser, main
 from eqkit.doubly import dea
 from eqkit.ea import EquiangularMatrix, certify_equiangular, sr_decompose
 from eqkit.factor import sdst_factor
-from eqkit.frames import simplex_frame
+from eqkit.frames import is_etf, simplex_frame
 from eqkit.spectral import fast_inverse
 from eqkit.errors import InvalidAlpha, InvalidAngle, InvalidShape, IoError, ParseError
 from eqkit.io import read_matrix, write_matrix
@@ -132,21 +132,13 @@ def test_bad_mtx_size_line_exits_11(tmp_path, capsys, size):
     assert err == f"eqkit check: {p}:2: size line '{size}' is not two nonnegative integers\n"
 
 
-@pytest.mark.parametrize("size", ["3 0", "0 0"])
-def test_check_of_an_empty_mtx_exits_27(tmp_path, capsys, size):
-    p = tmp_path / "empty.mtx"
-    p.write_text(f"%%MatrixMarket matrix array real general\n{size}\n")
-    code, rep, err = run_cli(capsys, "check", p)
-    assert (code, rep) == (27, None)
-    assert err.startswith("eqkit check: a frame needs at least one vector") and err.count("\n") == 1
-
-
 ZERO_DIMENSION_RUNS = {
     "sr": ["sr", "--alpha", "0.3"],
     "dea": ["dea", "--alpha", "0.3"],
     "inverse": ["inverse"],
     "sdst": ["sdst", "--alpha", "0.1"],
     "sdst-bound": ["sdst", "--find-alpha-bound"],
+    "check": ["check"],
 }
 
 
@@ -300,6 +292,19 @@ def test_readme_lists_every_exit_code():
     assert listed == classes
 
 
+def test_readme_lists_every_etf_label():
+    path = Path(__file__).resolve().parents[1] / "README.md"
+    if not path.exists():
+        pytest.skip("no README.md next to tests/")
+    listed = re.findall(r"^\| `is_etf` \| `(\w+)` \|", path.read_text(encoding="utf-8"), re.M)
+    # Twice e1 three times fails the Welch bound; twice a random frame fails constant coherence.
+    emitted = [is_etf(2.0 * np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])).failed,
+               is_etf(2.0 * np.random.default_rng(0).standard_normal((3, 5))).failed]
+    assert sorted(set(sum(emitted, []))) == sorted(listed)
+    for failed in emitted:
+        assert failed == [label for label in listed if label in failed]  # in the table's order
+
+
 def test_unparseable_input_exit_code(tmp_path, capsys):
     p = tmp_path / "m.csv"
     p.write_text("1,spam\n")
@@ -367,6 +372,21 @@ def test_inverse_fast_vs_generic(tmp_path, rng, capsys):
     fast = read_matrix(tmp_path / "f_inv.csv")
     gen = read_matrix(tmp_path / "g_inv.csv")
     assert np.abs(fast - gen).max() <= 1e-8
+
+
+@pytest.mark.parametrize("fmt", ["csv", "mtx"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_inverse_of_a_one_by_one(tmp_path, capsys, sign, fmt):
+    # One unit vector certifies at cosine 0, and G = [1] at every cosine, so S^-1 = S^T.
+    p = tmp_path / f"one.{fmt}"
+    write_matrix(p, [[sign]])
+    for method in ("fast", "generic"):
+        code, rep, _ = run_cli(capsys, "inverse", p, "--method", method, "--format", fmt,
+                               "--out", f"{tmp_path}/{method}_")
+        assert code == 0 and rep["passed"] is True
+        assert rep["parameters"]["alpha"] == 0.0
+        assert rep["checks"]["inverse_residual"]["value"] == 0.0
+        assert read_matrix(rep["outputs"]["inverse"]).tolist() == [[sign]]
 
 
 def test_inverse_rejects_non_equiangular(hfile, capsys):

@@ -49,6 +49,8 @@ def ref_triangular_equiangular(p):
 def ref_fast_inverse(S):
     M = as_matrix(S.mat)
     n = M.shape[0]
+    if n == 1:  # G = [1] at every cosine, so S^-1 = S^T
+        return M.T.copy()
     d = dual_params(GramParams(n, S.alpha))
     rowsums = M.sum(axis=1)
     return d.beta * ((1.0 - d.alpha_prime) * M.T + d.alpha_prime * rowsums[None, :])

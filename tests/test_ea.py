@@ -10,7 +10,9 @@ import math
 import numpy as np
 import pytest
 
+import eqkit.doubly as doubly
 import eqkit.ea as ea
+import eqkit.frames as frames
 from eqkit.ea import (
     EquiangularMatrix,
     certify_equiangular,
@@ -427,6 +429,23 @@ def test_certify_scaled_columns_none():
     assert certify_equiangular(2.0 * np.eye(3)) is None
 
 
+def test_every_certificate_gram_goes_through_one_routine(monkeypatch):
+    # certify_equiangular forms M^T M; certify_doubly and is_etf form M^T M and M M^T.
+    calls, gram = [], ea._gram
+
+    def counted(X):
+        calls.append(X.shape)
+        return gram(X)
+
+    for module in (ea, doubly, frames):
+        monkeypatch.setattr(module, "_gram", counted)
+    M = doubly.dea(np.random.default_rng(4).standard_normal((5, 5)), 0.3).mat
+    for certify, count in ((ea.certify_equiangular, 1), (doubly.certify_doubly, 2), (frames.is_etf, 2)):
+        calls.clear()
+        assert certify(M, 1e-8) is not None  # every step ran: is_etf reports "tight" failed here
+        assert calls == [(5, 5)] * count, certify.__name__
+
+
 def test_polar_of_principal_root_is_identity():
     _, S = gram_principal_sqrt(GramParams(4, 0.3))
     Q = polar_orthogonal_factor(EquiangularMatrix(S, 0.3))
@@ -443,6 +462,12 @@ def test_polar_orthogonality_and_reconstruction(hilbert4):
         assert np.linalg.norm(Q.T @ Q - np.eye(n), 2) <= 1e-10
         _, sbar = gram_principal_sqrt(GramParams(n, S.alpha))
         assert np.linalg.norm(Q @ sbar - S.mat, 2) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [-0.9, 0.0, 0.3])
+def test_polar_of_a_one_by_one_is_itself(alpha):
+    for s in (1.0, -1.0):
+        assert polar_orthogonal_factor(EquiangularMatrix(np.array([[s]]), alpha)).tolist() == [[s]]
 
 
 def test_polar_needs_a_square_system():

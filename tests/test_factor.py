@@ -639,10 +639,10 @@ def test_sdst_of_lambda_1_16_factors():
     _factor_lambda_1_16()
 
 
-def test_counterexample_spectra_have_no_real_factorization():
-    # k equal values with 2 <= k <= n-2: polynomial goes complex or the
-    # reconstructed spectrum misses the target; sdst_factor refuses either way
-    rng = np.random.default_rng(3)
+def test_counterexample_spectra_are_refused():
+    # k equal values with 2 <= k <= n-2: sdst_factor refuses them.  Where the
+    # float64 roots are all real, the candidate d they give misses the target
+    # spectrum; that shows nothing about whether some other real d factors.
     for n in (4, 5, 6):
         for k in range(2, n - 1):
             rest = list(2.0 + np.arange(n - k))
@@ -695,6 +695,14 @@ def test_schur_equiangular_alpha_range(alpha):
     # Checked before SciPy is imported, so this runs without it.
     with pytest.raises(InvalidAlpha, match="need 0 <= alpha < 1"):
         schur_equiangular(np.eye(3), alpha)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_schur_equiangular_carries_the_requested_cosine(rng, n):
+    # The columns are built at cos(acos(alpha)), which is 0.29999999999999993 for 0.3.
+    pytest.importorskip("scipy")
+    S, _ = schur_equiangular(rng.standard_normal((n, n)), 0.3)
+    assert S.alpha == 0.3
 
 
 def test_schur_equiangular_takes_no_2_norm(rng, monkeypatch):

@@ -5,8 +5,10 @@ subcommand must run with SciPy made unimportable.  ``kernel.real_schur`` is
 the one function that needs it (the optional ``eqkit[schur]`` extra) and
 imports it on first use; without SciPy it raises an ImportError naming the extra.
 ``from eqkit import *`` binds the public names and none of the submodules.
+Every name a module imports is used in it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -120,3 +122,26 @@ def test_real_schur_still_works(rng):
     assert np.abs(Q @ T @ Q.T - A).max() <= 1e-12 * np.abs(A).max() * 6
     assert np.abs(Q.T @ Q - np.eye(6)).max() <= 1e-13
     assert np.allclose(np.tril(T, -2), 0.0)
+
+
+def test_every_imported_name_is_used():
+    # __init__.py re-exports, and "# noqa: F401" marks the imports that
+    # perfbench/spans.py patches by name; __future__ imports bind nothing.
+    unused = []
+    for path in sorted(Path(eqkit.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []

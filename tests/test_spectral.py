@@ -33,6 +33,12 @@ class TestFastInverse:
         S = random_equiangular(50, 0.3, rng=1)
         assert np.linalg.norm(fast_inverse(S) - generic_inverse(S.mat), 2) <= 1e-9
 
+    @pytest.mark.parametrize("alpha", [-0.9, 0.0, 0.3])
+    def test_one_by_one_is_transpose(self, alpha):
+        # G = [1] at every cosine, so the cosine a 1 x 1 S carries does not matter.
+        for s in (1.0, -1.0):
+            assert fast_inverse(EquiangularMatrix(np.array([[s]]), alpha)).tolist() == [[s]]
+
     def test_rectangular_rejected(self):
         S = random_equiangular(5, 0.2, rng=2, m=3)
         with pytest.raises(NotSquare):
