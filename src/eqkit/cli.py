@@ -73,6 +73,17 @@ def _report(command: str, args, checks: dict, outputs: dict, extra: dict | None 
     return rep
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _emit(report: dict) -> int:
     json.dump(report, sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
@@ -271,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("input", nargs="?", help="matrix file (.csv or .mtx)")
     g.add_argument("--bench", action="store_true", help="size sweep benchmark instead of a file")
     sp.add_argument("--method", choices=("fast", "generic"), default="fast")
-    sp.add_argument("--seed", type=int, default=0, help="seed of the --bench matrices")
+    sp.add_argument("--seed", type=_seed, default=0, help="seed of the --bench matrices")
     sp.set_defaults(func=cmd_inverse)
 
     sp = sub.add_parser("sdst", help="factor symmetric A = S diag(d) S^T")

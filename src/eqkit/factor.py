@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ea import EquiangularMatrix, _sr_frame, sr_decompose, triangular_equiangular
+from .ea import EquiangularMatrix, _sr_frame, certify_equiangular, sr_decompose, triangular_equiangular
 from .errors import (
     ComplexSpectrum,
     DegreeZero,
@@ -340,20 +340,15 @@ def schur_equiangular(A, alpha: float) -> tuple[EquiangularMatrix, np.ndarray]:
 def equiangular_eigenvectors(A):
     """Detect whether A's eigenvectors form an equiangular family.
 
-    Returns (alpha, S) where S's columns are unit eigenvectors of A at
-    common cosine alpha, or None when no alpha in (0, 1) works.  The test
-    runs on a triangularized form T of A: some adjacent diagonal pair with
-    t_ii != t_(i+1)(i+1) must satisfy the ratio equation
-
-        shat_(i,i+1) / shat_(i+1,i+1) = t_(i,i+1) / (t_(i+1,i+1) - t_ii)
-
-    for the triangular system at alpha.  That ratio is o_i / d_(i+1) =
-    alpha / sqrt((1 + (i-2) alpha)(1 + i alpha)) for 1-based row i, which
-    inverts in closed form to
-
-        alpha = rho / (sqrt(1 + rho^2) - (i-1) rho),
-
-    and the candidate must then pass the global check T shat = shat diag(T).
+    Returns (alpha, S), S's columns unit eigenvectors of A in ascending
+    eigenvalue order at a common cosine alpha in [1e-6, 1 - 1e-6], or None.
+    The test is the Gram certificate of the unit eigenvectors X, each signed
+    to meet column 0 at a non-negative cosine.  It is enough: with distinct
+    eigenvalues and X = Q R, T = R diag(w) R^-1, the triangular system shat
+    at alpha solves T shat = shat diag(w) only as shat = R (both are upper
+    triangular with unit columns and a positive diagonal), so X^T X = G_alpha.
+    A = c I gives 0.5 and T_0.5.  With any other repeated eigenvalue, None
+    says only that the basis ``np.linalg.eig`` returned does not certify.
 
     Raises InvalidShape when A is smaller than 2 x 2 and ComplexSpectrum when
     A has non-real eigenvalues.
@@ -376,31 +371,11 @@ def equiangular_eigenvectors(A):
             return 0.5, triangular_equiangular(GramParams(n, 0.5))
         return None
 
-    order = np.argsort(w)
-    w = w[order]
-    X = X[:, order]
-    X = X / np.linalg.norm(X, axis=0)
-    # Sign-align the eigenvectors against the first one so that a genuinely
-    # equiangular family comes out at a positive common cosine.
-    dots = X.T @ X[:, 0]
-    X = X * np.where(dots < 0, -1.0, 1.0)
-
-    Q, R = np.linalg.qr(X)
-    signs = np.where(np.diag(R) < 0, -1.0, 1.0)
-    Q, R = Q * signs, R * signs[:, None]
-    T = (R * w) @ np.linalg.inv(R)
-    t_norm = max(1.0, spectral_norm(T))
-
-    for i in range(n - 1):
-        denom = T[i + 1, i + 1] - T[i, i]
-        if abs(denom) <= CLUSTER_RTOL * scale:
-            continue
-        rho = float(T[i, i + 1] / denom)
-        root = math.sqrt(1.0 + rho * rho) - i * rho  # row i + 1, 1-based
-        if root <= 0.0 or not 1e-6 <= rho / root <= 1.0 - 1e-6:
-            continue
-        alpha = rho / root
-        shat = triangular_equiangular(GramParams(n, alpha)).mat
-        if norm2_at_most(T @ shat - shat * w[None, :], 1e-8 * t_norm):
-            return float(alpha), EquiangularMatrix(Q @ shat, float(alpha))
-    return None
+    X = X[:, np.argsort(w)]
+    X /= np.linalg.norm(X, axis=0)
+    # Signed against column 0, an equiangular family comes out at a positive cosine.
+    X *= np.where(X.T @ X[:, 0] < 0, -1.0, 1.0)
+    alpha = certify_equiangular(X, CLUSTER_RTOL)
+    if alpha is None or not 1e-6 <= alpha <= 1.0 - 1e-6:
+        return None
+    return alpha, EquiangularMatrix(X, alpha)

@@ -133,6 +133,8 @@ def _parse_matrix_market(text: str, path: str) -> np.ndarray:
         raise ParseError(f"{path}: not a Matrix Market file")
     if fields[2] != "array" or fields[3] != "real":
         raise ParseError(f"{path}: only 'array real' Matrix Market files are supported")
+    if len(fields) > 4 and fields[4] != "general":  # symmetric files store one triangle
+        raise ParseError(f"{path}: only 'general' Matrix Market files are supported, not {fields[4]!r}")
     try:
         dims = _mtx_dims(lines[1]) if len(lines) > 2 else None
     except ValueError:

@@ -249,6 +249,16 @@ def test_seed_is_an_inverse_option_only(capsys, argv):
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+def test_bad_seed_is_a_usage_error(tmp_path, capsys, seed):
+    # np.random.default_rng raises an untyped ValueError for a negative seed.
+    with pytest.raises(SystemExit) as exc:
+        main(["inverse", "--bench", "--seed", seed, "--out", f"{tmp_path}/b_"])
+    assert exc.value.code == 2
+    assert f"argument --seed: expected a non-negative integer, got '{seed}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("b_*"))
+
+
 def test_sr_angle_required(hfile, capsys):
     code, rep, err = run_cli(capsys, "sr", hfile)
     assert code == 13 and rep is None

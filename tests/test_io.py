@@ -62,6 +62,8 @@ def ref_parse_matrix_market(text, path):
         raise ParseError(f"{path}: not a Matrix Market file")
     if fields[2] != "array" or fields[3] != "real":
         raise ParseError(f"{path}: only 'array real' Matrix Market files are supported")
+    if len(fields) > 4 and fields[4] != "general":  # symmetric files store one triangle
+        raise ParseError(f"{path}: only 'general' Matrix Market files are supported, not {fields[4]!r}")
     dims = None
     values = []
     for lineno, raw in enumerate(lines, start=2):
@@ -244,6 +246,9 @@ REJECTED = [
     ("m.mtx", "%%MatrixMarket matrix array real general\n% c\n2 1\n1\n\nbad\n"),
     ("m.mtx", "%%MatrixMarket matrix array real general\n2 1\n1\nnan\n"),       # non-finite
     ("m.mtx", "%%MatrixMarket matrix array real general\n1 2\n-inf 1\n"),
+    ("m.mtx", "%%MatrixMarket matrix array real symmetric\n2 2\n1\n2\n3\n"),        # one triangle
+    ("m.mtx", "%%MatrixMarket matrix array real symmetric\n2 2\n1\n2\n2\n3\n"),    # full, still not general
+    ("m.mtx", "%%MatrixMarket matrix array real skew-symmetric\n2 2\n0\n1\n-1\n0\n"),
 ]
 
 
@@ -253,6 +258,15 @@ def test_reader_rejects_with_the_line_loop_message(tmp_path, name, text):
     p.write_text(text, encoding="utf-8", newline="")
     assert outcome(ref_read, p)[0] == "ParseError"
     assert_same_read(p)
+
+
+@pytest.mark.parametrize("qualifier", ["symmetric", "skew-symmetric", "hermitian"])
+def test_mtx_symmetry_qualifier_is_named(tmp_path, qualifier):
+    # Read as general, a symmetric file's n^2 values would pass for the full matrix.
+    p = tmp_path / "m.mtx"
+    p.write_text(f"%%MatrixMarket matrix array real {qualifier.upper()}\n2 2\n1\n2\n2\n3\n")
+    message = f"{p}: only 'general' Matrix Market files are supported, not '{qualifier}'"
+    assert outcome(ref_read, p) == outcome(read_matrix, p) == ("ParseError", message)
 
 
 def test_negative_mtx_size_line_is_rejected_as_the_reference_rejects_it(tmp_path):
