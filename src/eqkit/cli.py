@@ -201,9 +201,11 @@ def cmd_sdst(args) -> int:
     paths, (S, D) = _write_back(args, S=fac.S.mat, D=fac.D.reshape(1, -1))
     d = D.ravel()
     scale = max(1.0, spectral_norm(A))
+    e = math.frexp(scale)[1]  # sum(d) and trace(A) in units of 2^e >= scale: exact, and finite near DBL_MAX
+    trace_gap = math.ldexp(abs(np.ldexp(d, -e).sum() - np.trace(np.ldexp(A, -e))), e)
     checks = {
         "sdst_residual": _check(spectral_norm((S * d) @ S.T - A), max(args.tol, 1e-7) * scale),
-        "trace_match": _check(abs(d.sum() - np.trace(A)), 1e-8 * scale),
+        "trace_match": _check(trace_gap, 1e-8 * scale),
     }
     extra = {"parameters": {"alpha": args.alpha}, "d": [float(x) for x in fac.D]}
     return _emit(_report("sdst", args, checks, paths, extra))

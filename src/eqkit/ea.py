@@ -19,23 +19,20 @@ by one vector a takes the unit direction q of a orthogonal to span(S_k):
     s_{k+1} = d_{k+1} q + alpha / (1 + (k-1) alpha) * (s_1 + ... + s_k).
 
 Factoring A = S R with S equiangular and R upper triangular with positive
-diagonal is the resulting analogue of QR.  ``sr_decompose`` forms the
-difference S R - A when it factors, but takes that difference's 2-norm only
-when ``SRDecomposition.residual`` is first read; callers that only want the
-factors never pay for the eigensolve behind it.
+diagonal is the resulting analogue of QR.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateAngle, InvalidAngle, NotSquare
 from .gram import BOUNDARY_TOL, GramParams
 from .gram import gram_inverse, gram_principal_sqrt, gram_sqrt_inverse  # noqa: F401  perfbench/spans.py traces them
-from .kernel import as_matrix, qr, spectral_norm
+from .kernel import _refuse_overflow, as_matrix, qr
 
 # 1 + k*alpha at or below this margin means the obtuse angle is too wide.
 DEGENERATE_TOL = 1e-12
@@ -51,35 +48,43 @@ class EquiangularMatrix:
 
 @dataclass
 class SRDecomposition:
-    """Factors S and R of A = S R, with the residual ||A - S R||_2 taken on first read.
-
-    ``_E`` is S R - A, formed when A is factored, so the residual does not
-    change when the caller later edits A, ``S.mat`` or ``R`` in place.  The
-    first read of ``residual`` takes its 2-norm, stores the float and frees
-    ``_E``.
-    """
+    """Factors S and R of A = S R."""
 
     S: EquiangularMatrix
     R: np.ndarray
-    _E: np.ndarray | None = field(repr=False)
-    _residual: float | None = field(default=None, init=False, repr=False)
-
-    @property
-    def residual(self) -> float:
-        if self._E is not None:
-            self._residual = spectral_norm(self._E)
-            self._E = None
-        return self._residual
 
 
-def _cholesky_entries(k, alpha: float):
-    """Diagonal d_k and off-diagonal o_k of row k (1-based) of the Cholesky factor T.
+def _t_entries(m: int, alpha: float):
+    """d_k, o_k and d_k - o_k = (1 - alpha)/d_k for rows k = 1..m of the Cholesky factor T.
 
-    ``k`` may be an int or an integer array.  d_k - o_k equals (1 - alpha)/d_k.
+    One column has T = [1] at any alpha, also at alpha = +-1, so it takes alpha = 0.
     """
-    shift = 1.0 + (k - 2) * alpha
-    d = np.sqrt((1.0 - alpha) * (1.0 + (k - 1) * alpha) / shift)
-    return d, alpha * (1.0 - alpha) / (shift * d)
+    a = alpha if m >= 2 else 0.0
+    k = np.arange(1, m + 1)
+    shift = 1.0 + (k - 2) * a
+    d = np.sqrt((1.0 - a) * (1.0 + (k - 1) * a) / shift)
+    return d, a * (1.0 - a) / (shift * d), (1.0 - a) / d
+
+
+def _times_t(X: np.ndarray, o: np.ndarray, d_minus_o: np.ndarray) -> np.ndarray:
+    """X T in place: column j becomes (d_j - o_j) x_j plus the prefix sum of o_i x_i over i <= j."""
+    prefix = X * o
+    np.cumsum(prefix, axis=1, out=prefix)
+    X *= d_minus_o  # d_j - o_j without the cancellation
+    X += prefix
+    return X
+
+
+def _solve_t(R: np.ndarray, d: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """T^-1 R in place: row i is (R[i] - o_i * sum of the later rows of the result) / d_i."""
+    below = np.zeros(R.shape[1])
+    with _refuse_overflow("a solve with the Cholesky factor T"):
+        for i in range(len(d) - 1, -1, -1):
+            row = R[i]
+            row -= o[i] * below
+            row /= d[i]
+            below += row
+    return R
 
 
 def _extend(S_k: EquiangularMatrix, a_next, alpha: float) -> np.ndarray:
@@ -91,7 +96,7 @@ def _extend(S_k: EquiangularMatrix, a_next, alpha: float) -> np.ndarray:
         )
     a = np.asarray(a_next, dtype=float).ravel()
     Q, _ = qr(np.column_stack([S, a]))
-    d, _ = _cholesky_entries(k + 1, alpha)
+    d = _t_entries(k + 1, alpha)[0][k]
     return float(d) * Q[:, k] + (alpha / (1.0 + (k - 1) * alpha)) * S.sum(axis=1)
 
 
@@ -135,21 +140,10 @@ def sr_decompose(A, theta: float) -> SRDecomposition:
 
     Returns
     -------
-    SRDecomposition with diag(R) > 0; its ``residual`` ||A - S R||_2 is
-    taken from this call's S R - A when first read.
+    SRDecomposition with diag(R) > 0; OutOfRange is raised when R overflows float64.
     """
-    A = as_matrix(A)
-    S, R, d, o = _sr_frame(A, theta)
-    # R = T^-1 R_qr in place: row i is (R_qr[i] - o_i * sum of the later rows of R) / d_i.
-    below = np.zeros(len(d))
-    for i in range(len(d) - 1, -1, -1):
-        row = R[i]
-        row -= o[i] * below
-        row /= d[i]
-        below += row
-    E = S.mat @ R
-    E -= A
-    return SRDecomposition(S, R, E)
+    S, R, d, o = _sr_frame(as_matrix(A), theta)
+    return SRDecomposition(S, _solve_t(R, d, o))
 
 
 def _sr_frame(A, theta: float):
@@ -163,16 +157,8 @@ def _sr_frame(A, theta: float):
             f"cos(theta)={alpha:.6g} outside (-1/{m - 1}, 1) for {m} columns"
         )
     Q, R = qr(A)
-    # One column has T = [1] at any alpha, also at the alpha = +-1 let through above.
-    a = alpha if m >= 2 else 0.0
-    d, o = _cholesky_entries(np.arange(1, m + 1), a)
-
-    # S = Q T: column j is d_j q_j plus the prefix sum of o_i q_i over i < j.
-    S = Q * o
-    np.cumsum(S, axis=1, out=S)
-    Q *= (1.0 - a) / d  # d_j - o_j, without the cancellation
-    S += Q
-    return EquiangularMatrix(S, alpha), R, d, o
+    d, o, d_minus_o = _t_entries(m, alpha)
+    return EquiangularMatrix(_times_t(Q, o, d_minus_o), alpha), R, d, o
 
 
 def triangular_equiangular(p: GramParams) -> EquiangularMatrix:
@@ -183,7 +169,7 @@ def triangular_equiangular(p: GramParams) -> EquiangularMatrix:
     and o_k in all later columns (formulas in the module docstring).
     alpha = 0 yields the identity.
     """
-    d, o = _cholesky_entries(np.arange(1, p.n + 1), p.alpha)
+    d, o, _ = _t_entries(p.n, p.alpha)
     return EquiangularMatrix(_constant_rows(d, o, p.n), p.alpha)
 
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ea import EquiangularMatrix, _sr_frame, certify_equiangular, sr_decompose, triangular_equiangular
+from .ea import EquiangularMatrix, _solve_t, _sr_frame, _t_entries, _times_t, certify_equiangular, triangular_equiangular
+from .ea import sr_decompose  # noqa: F401  perfbench/spans.py traces it
 from .errors import (
     ComplexSpectrum,
     DegreeZero,
@@ -43,6 +44,7 @@ from .errors import (
 from .gram import GramParams
 from .gram import dual_params, gram_principal_sqrt  # noqa: F401  perfbench/spans.py traces them
 from .kernel import (
+    _refuse_overflow,
     as_matrix,
     norm2_at_most,
     poly_roots,
@@ -108,27 +110,28 @@ def nonreal_root_certificate(poly: PolySpec) -> int:
 
 
 def _root_solver(lambdas):
-    """s and ``roots(alpha)``, the snapped roots of the polynomial for lambdas / s.
+    """An exponent p and ``roots(alpha)``, the snapped roots of the polynomial for lambdas / 2^p.
 
-    s is 1 unless some e_k(lambdas) is not finite; then it is the power of two
-    just above max |lambda|, and e_k is formed again from lambdas / s.  c_k is
-    homogeneous of degree k in lambda, so the roots for lambdas / s are the
-    roots d divided by s exactly, and whether they are all real does not
-    depend on s.  Each alpha rewrites row 0 of one companion matrix, laid out
+    p is 0 unless some e_k(lambdas) is not finite; then 2^p is the power of two
+    just above max |lambda|, and e_k is formed again from lambdas / 2^p, scaled
+    with ``np.ldexp`` so that 2^p itself need not be finite.  c_k is
+    homogeneous of degree k in lambda, so the roots for lambdas / 2^p are the
+    roots d divided by 2^p exactly, and whether they are all real does not
+    depend on p.  Each alpha rewrites row 0 of one companion matrix, laid out
     as ``np.roots`` lays it out, with -c(alpha), and ``np.roots``' zero roots
     for trailing zero coefficients follow its eigenvalues.  So the roots are
-    ``poly_roots(build_poly(lambdas / s, alpha).coeffs)`` to the bit, up to order.
+    ``poly_roots(build_poly(lambdas / 2^p, alpha).coeffs)`` to the bit, up to order.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     n = lambdas.size
     if not n:
         raise DegreeZero("polynomial must have degree >= 1")
-    s = 1.0
+    p = 0
     with np.errstate(over="ignore", invalid="ignore"):
         e = elementary_symmetric(lambdas)[1:]
         if not np.isfinite(e).all():
-            s = math.ldexp(1.0, math.frexp(float(np.abs(lambdas).max()))[1])
-            e = elementary_symmetric(lambdas / s)[1:]
+            p = math.frexp(float(np.abs(lambdas).max()))[1]
+            e = elementary_symmetric(np.ldexp(lambdas, -p))[1:]
     # The denominators lie in (0, 1], so c_k is zero exactly where e_k is.
     # np.roots drops trailing zero coefficients as real zero roots: the
     # companion matrix stops at the last nonzero e_k.
@@ -146,7 +149,7 @@ def _root_solver(lambdas):
         np.multiply(c[:m], flip, out=companion[:1])
         return snap_real(np.concatenate((np.linalg.eigvals(companion), zeros)))
 
-    return s, roots
+    return p, roots
 
 
 def alpha_real_root_bound(lambdas) -> float:
@@ -179,7 +182,8 @@ def alpha_real_root_bound(lambdas) -> float:
 
 def _clusters(values: np.ndarray, scale: float) -> list[np.ndarray]:
     """Split ascending values into runs whose neighbours lie within CLUSTER_RTOL * scale."""
-    return np.split(values, np.flatnonzero(np.diff(values) > CLUSTER_RTOL * scale) + 1)
+    with np.errstate(over="ignore"):  # an overflowed gap is inf, which still splits
+        return np.split(values, np.flatnonzero(np.diff(values) > CLUSTER_RTOL * scale) + 1)
 
 
 def _fix_column_signs(Q: np.ndarray) -> np.ndarray:
@@ -255,6 +259,8 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
         handled by :func:`two_eigenvalue_factor` instead, and a value
         repeated k times with 2 <= k <= n-2 is not supported, although such
         a spectrum can factor.
+    OutOfRange
+        The polynomial, d or a product formed from them overflows float64.
     """
     A = require_square(as_matrix(A))
     if not 0.0 < alpha < 1.0:
@@ -286,15 +292,19 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
     order = np.concatenate([np.flatnonzero(~zero_mask), np.flatnonzero(zero_mask)])
     Qp = Q[:, order]
 
-    s, roots_at = _root_solver(nz)
+    p, roots_at = _root_solver(nz)
     roots = roots_at(alpha)
     if np.count_nonzero(roots.imag):
         raise NonRealRoots(f"{np.count_nonzero(roots.imag)} non-real roots at alpha={alpha!r}")
-    d = np.sort(roots.real) * s
+    with _refuse_overflow(f"d at alpha={alpha!r}"):
+        d = np.ldexp(np.sort(roots.real), p)
 
     sbar = GramParams(m, alpha).operator.sqrt()
-    Qm, mu = sym_eig(sbar.right_multiply(sbar.left_multiply(np.diag(d))))  # sbar diag(d) sbar
-    if float(np.max(np.abs(np.sort(mu) - np.sort(nz)))) > 1e-7 * scale:
+    with _refuse_overflow("sbar diag(d) sbar"):
+        Qm, mu = sym_eig(sbar.right_multiply(sbar.left_multiply(np.diag(d))))
+    with np.errstate(over="ignore"):  # an overflowed gap is inf, which fails the test
+        gap = float(np.max(np.abs(np.sort(mu) - np.sort(nz))))
+    if gap > 1e-7 * scale:
         raise NonRealRoots("recovered spectrum does not match the target within 1e-7")
     S = sbar.right_multiply(_fix_column_signs(Qm).T)  # factors diag(nz ascending)
 
@@ -308,33 +318,36 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
     d_full = np.concatenate([d, np.zeros(n_zero)])
 
     S_out = Qp @ S
-    residual = spectral_norm((S_out * d_full) @ S_out.T - A)
+    with _refuse_overflow("S diag(d) S^T"):
+        residual = spectral_norm((S_out * d_full) @ S_out.T - A)
     return SDSTFactorization(EquiangularMatrix(S_out, alpha), d_full, residual)
 
 
 def schur_equiangular(A, alpha: float) -> tuple[EquiangularMatrix, np.ndarray]:
     """Schur-like splitting A = S T S^-1 with an equiangular basis.
 
-    The orthogonal Schur basis of A is re-angled through an SR
-    factorization; T = R T_schur R^-1 keeps the quasi-triangular block
-    structure (entries outside it are cleaned, they are pure roundoff).
+    With A = Qs Ts Qs^T the real Schur form and T_alpha the Cholesky factor
+    of G_alpha, S = Qs T_alpha and T = T_alpha^-1 Ts T_alpha, both in closed
+    form.  T keeps Ts's quasi-triangular block structure (entries outside it
+    are cleaned, they are pure roundoff).
     """
     A = require_square(as_matrix(A))
     if not 0.0 <= alpha < 1.0:
         raise InvalidAlpha(f"need 0 <= alpha < 1, got {alpha!r}")
     if not A.size:
         raise InvalidShape("a Schur basis needs at least one column, got a 0 x 0 matrix")
-    Qs, Ts = real_schur(A)
-    dec = sr_decompose(Qs, math.acos(alpha))
-    R = dec.R
-    T = np.linalg.solve(R.T, (R @ Ts).T).T  # R Ts R^-1
     n = A.shape[0]
+    if n >= 2:
+        GramParams(n, alpha)  # InvalidAlpha within its boundary margin of 1, where T_alpha is near singular
+    Qs, Ts = real_schur(A)
     sub_tol = 1e-11 * max(1.0, float(np.abs(Ts).max()))
     keep = np.triu(np.ones((n, n), dtype=bool))
     i = np.flatnonzero(np.abs(np.diag(Ts, -1)) > sub_tol)  # genuine 2x2 Schur blocks
     keep[i + 1, i] = True
+    d, o, d_minus_o = _t_entries(n, alpha)
+    T = _solve_t(_times_t(Ts, o, d_minus_o), d, o)
     T[~keep] = 0.0
-    return EquiangularMatrix(dec.S.mat, float(alpha)), T  # labelled alpha, not cos(acos(alpha))
+    return EquiangularMatrix(_times_t(Qs, o, d_minus_o), float(alpha)), T
 
 
 def equiangular_eigenvectors(A):

@@ -20,6 +20,7 @@ and it can tally the scalar arithmetic it performs via :class:`OpCounter`.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     NoConvergence,
     NotSquare,
     NotSymmetric,
+    OutOfRange,
     RankDeficient,
     Singular,
 )
@@ -61,6 +63,16 @@ def as_matrix(a) -> np.ndarray:
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
+
+
+@contextlib.contextmanager
+def _refuse_overflow(what: str):
+    """OutOfRange, naming ``what``, when a float64 operation inside the block overflows."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise OutOfRange(f"{what} overflows float64") from exc
 
 
 def require_square(m: np.ndarray) -> np.ndarray:
@@ -99,12 +111,21 @@ def qr(A):
     RankDeficient
         If some column is numerically dependent on the preceding ones
         (residual below ``RANK_RTOL`` times the column norm).
+    OutOfRange
+        If an entry of R overflows float64.
     """
     A = as_matrix(A)
     n, m = A.shape
     if n < m:
         raise RankDeficient(f"{m} columns cannot be independent in dimension {n}")
     with np.errstate(over="ignore"):  # overflowed norms are rescaled below
+        col_norms = np.linalg.norm(A, axis=0)
+    e_lapack = 0
+    if not np.isfinite(col_norms).all():
+        # LAPACK's Householder vector can overflow as well: divide column j by
+        # a power of two 2^e_j, exactly, and scale column j of R back below.
+        _, e_lapack = np.frexp(np.abs(A).max(axis=0))
+        A = np.ldexp(A, -e_lapack)
         col_norms = np.linalg.norm(A, axis=0)
     Q, R = np.linalg.qr(A, mode="reduced")
     d = np.abs(np.diag(R))
@@ -123,6 +144,9 @@ def qr(A):
     signs = np.where(np.diag(R) < 0, -1.0, 1.0)
     Q *= signs
     R *= signs[:, None]
+    if np.any(e_lapack):
+        with _refuse_overflow("the triangular factor R of the QR step"):
+            R = np.ldexp(R, e_lapack)
     return Q, R
 
 
@@ -148,7 +172,8 @@ def sym_eig(A):
         w, Q = np.linalg.eigh(0.5 * (A + A.T))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return Q, w * s
+    with _refuse_overflow("an eigenvalue"):
+        return Q, w * s
 
 
 def real_schur(A):

@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from eqkit.ea import EquiangularMatrix, certify_equiangular, sr_decompose
 from eqkit.factor import sdst_factor
 from eqkit.frames import is_etf, simplex_frame
 from eqkit.spectral import fast_inverse
-from eqkit.errors import InvalidAlpha, InvalidAngle, InvalidShape, IoError, ParseError
+from eqkit.errors import InvalidAlpha, InvalidAngle, InvalidShape, IoError, OutOfRange, ParseError
 from eqkit.io import read_matrix, write_matrix
 
 
@@ -680,6 +681,36 @@ def test_overflow_warnings_stay_off_stderr(tmp_path, capsys, huge, argv, code, e
     assert (proc.returncode, proc.stderr) == (code, err)
     assert main([str(a) for a in argv]) == code
     assert proc.stdout == capsys.readouterr().out
+
+
+TOP = np.array([[1e308, 1e308], [1e308, -1e308]])  # eigenvalues +-1.41e308; |a_11| + ||a_1|| > DBL_MAX
+
+
+@pytest.mark.parametrize(
+    "matrix, argv, code",
+    [
+        (np.diag([1e308, 2.0, 3.0]), ["sdst", "--find-alpha-bound"], 0),
+        (TOP, ["sdst", "--alpha", "0.3"], 0),
+        (TOP, ["sdst", "--alpha", "0.9"], OutOfRange.exit_code),
+        (np.array([[1.2e308, 4e307], [4e307, 8e307]]), ["sdst", "--alpha", "0.05"], 0),  # trace(A) overflows
+        (TOP, ["sr", "--alpha", "0.3"], 0),
+        (TOP, ["dea", "--alpha", "0.3"], 0),
+    ],
+    ids=["sdst_bound", "sdst_alpha", "sdst_d_overflows", "sdst_trace", "sr", "dea"],
+)
+def test_top_of_the_float_range(tmp_path, capsys, matrix, argv, code):
+    """sdst exited 1 with an OverflowError or a ValueError; sr and dea wrote inf
+    into their S and then blamed their own output file."""
+    p = tmp_path / "top.csv"
+    write_matrix(p, matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach a console run's stderr
+        got, rep, err = run_cli(capsys, argv[0], p, *argv[1:], "--out", f"{tmp_path}/o_")
+    assert got == code
+    if code:
+        assert rep is None and err.startswith(f"eqkit {argv[0]}: ") and "/o_" not in err
+    else:
+        assert err == "" and rep["passed"] is True
 
 
 @pytest.mark.parametrize(

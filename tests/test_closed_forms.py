@@ -15,7 +15,7 @@ import pytest
 
 from eqkit.ea import (
     EquiangularMatrix,
-    _cholesky_entries,
+    _t_entries,
     _near_constant,
     _off_diagonal,
     random_equiangular,
@@ -40,7 +40,7 @@ def ref_simplex_frame(n):
 
 def ref_triangular_equiangular(p):
     n, a = p.n, p.alpha
-    d, o = _cholesky_entries(np.arange(1, n + 1), a)
+    d, o, _ = _t_entries(n, a)
     m = np.triu(np.repeat(o[:, None], n, axis=1), 1)
     m[np.diag_indices(n)] = d
     return m

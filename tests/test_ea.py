@@ -25,7 +25,6 @@ from eqkit.ea import (
 )
 from eqkit.errors import DegenerateAngle, InvalidAngle, NotSquare, RankDeficient
 from eqkit.gram import GramParams, gram_matrix, gram_principal_sqrt, gram_sqrt_inverse
-from eqkit.kernel import spectral_norm
 
 PRINT_TOL = 1.5e-4
 
@@ -164,7 +163,7 @@ def test_hilbert_fixture(hilbert4):
     dec = sr_decompose(hilbert4, math.pi / 3)
     assert np.abs(dec.S.mat - HILBERT_S).max() <= PRINT_TOL
     assert np.abs(dec.R - HILBERT_R).max() <= PRINT_TOL
-    assert dec.residual <= 1e-12
+    assert np.linalg.norm(hilbert4 - dec.S.mat @ dec.R, 2) <= 1e-12
     assert certify_equiangular(dec.S) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -189,10 +188,12 @@ def test_certify_matches_requested_angle(rng):
         n = int(rng.integers(2, 10))
         m = int(rng.integers(2, n + 1))
         alpha = float(rng.uniform(-1.0 / (m - 1) + 0.02, 0.97))
-        dec = sr_decompose(rng.standard_normal((n, m)), math.acos(alpha))
+        A = rng.standard_normal((n, m))
+        dec = sr_decompose(A, math.acos(alpha))
         got = certify_equiangular(dec.S, tol=1e-9)
         assert got is not None and abs(got - alpha) <= 1e-9
-        assert dec.residual <= 1e-9 * max(1.0, np.linalg.norm(dec.S.mat @ dec.R, 2))
+        residual = np.linalg.norm(A - dec.S.mat @ dec.R, 2)
+        assert residual <= 1e-9 * max(1.0, np.linalg.norm(dec.S.mat @ dec.R, 2))
 
 
 def test_span_preservation(rng):
@@ -246,7 +247,7 @@ def test_sr_matches_qr_times_cholesky(rng, alpha, shape):
     assert np.abs(dec.S.mat - S_ref).max() <= 1e-12
     assert np.abs(dec.R - R_ref).max() <= 1e-10 * np.abs(R_ref).max()
     assert np.array_equal(dec.R, np.triu(dec.R)) and np.all(np.diag(dec.R) > 0)
-    assert dec.residual == pytest.approx(np.linalg.norm(A - dec.S.mat @ dec.R, 2), rel=1e-8)
+    assert np.linalg.norm(A - dec.S.mat @ dec.R, 2) <= 1e-12 * np.linalg.norm(A, 2)
 
 
 def test_sr_near_unit_cosine_against_mpmath():
@@ -276,66 +277,6 @@ def test_sr_near_unit_cosine_against_mpmath():
     # ||.||_2 <= sqrt(n) ||.||_1 for a 6 x 6 matrix
     assert float(residual) * math.sqrt(6) <= 1e-12 * np.linalg.norm(A, 2)
     assert float(s_err) <= 1e-12
-
-
-# --- the residual is taken on first read -----------------------------------
-
-
-def _eager_residual(A, alpha):
-    """The residual taken eagerly, from the S and R of a separate ``sr_decompose`` call."""
-    dec = sr_decompose(A, math.acos(alpha))
-    E = dec.S.mat @ dec.R
-    E -= A
-    return spectral_norm(E)
-
-
-RESIDUAL_CASES = [
-    ((20, 20), 0.5, 3),
-    ((60, 20), 0.1, 4),
-    ((20, 20), -0.05, 5),
-    ((6, 6), 0.9999, 66),  # the input of test_sr_near_unit_cosine_against_mpmath
-]
-
-
-@pytest.mark.parametrize("edit", [False, True])
-@pytest.mark.parametrize("shape, alpha, seed", RESIDUAL_CASES)
-def test_residual_is_bit_identical_to_the_eager_value(shape, alpha, seed, edit):
-    """Also when A, S and R are changed in place before the first read."""
-    A = np.random.default_rng(seed).standard_normal(shape)
-    want = _eager_residual(A, alpha)
-    dec = sr_decompose(A, math.acos(alpha))
-    if edit:
-        A *= 3.0
-        dec.S.mat[:] = 0.0
-        dec.R += 1.0
-    assert np.float64(dec.residual).view(np.uint64) == np.float64(want).view(np.uint64)
-
-
-def test_factoring_takes_no_2_norm(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("2-norm taken before the residual was read")
-
-    monkeypatch.setattr(ea, "spectral_norm", refuse)
-    dec = sr_decompose(np.random.default_rng(1).standard_normal((8, 8)), math.acos(0.3))
-    assert np.all(np.diag(dec.R) > 0)
-    assert "residual" not in repr(dec)
-    with pytest.raises(AssertionError, match="before the residual was read"):
-        dec.residual
-
-
-def test_second_read_is_free(monkeypatch):
-    calls = []
-
-    def counted(E):
-        calls.append(E.shape)
-        return spectral_norm(E)
-
-    monkeypatch.setattr(ea, "spectral_norm", counted)
-    dec = sr_decompose(np.random.default_rng(2).standard_normal((10, 6)), math.acos(0.2))
-    first = dec.residual
-    assert dec.residual == first and dec.residual == first
-    assert calls == [(10, 6)]
-    assert dec._E is None  # the difference S R - A is freed after the first read
 
 
 def test_single_column_at_any_angle():

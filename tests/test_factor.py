@@ -284,7 +284,7 @@ def test_root_solver_scale_matches_the_two_step_rule(rng, family):
     spectra = OVERFLOW_SPECTRA if family == "overflow" else BOUND_FAMILIES[family](rng)
     scales = []
     for lam in spectra:
-        s = factor._root_solver(lam)[0]
+        s = math.ldexp(1.0, factor._root_solver(lam)[0])  # the solver returns the exponent of s
         assert s == _poly_scale_reference(lam)[1], lam
         scales.append(s)
     assert (family in ("overflow", "rescaled_2_700")) == any(s != 1.0 for s in scales)
@@ -449,13 +449,18 @@ def test_sdst_zero_eigenvalues_take_one_2_norm(rng, monkeypatch):
         calls.append(X.shape)
         return spectral_norm(X)
 
-    monkeypatch.setattr(ea, "spectral_norm", counted)
     monkeypatch.setattr(factor, "spectral_norm", counted)
     Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     A = Q @ np.diag([0.0, 0.0, 1.0, 2.0, 3.5]) @ Q.T
     f = sdst_factor(A, 0.12)
     assert calls == [(5, 5)]
     assert f.residual <= 1e-8 * np.linalg.norm(A, 2)
+
+
+def test_bound_at_the_top_of_the_float_range():
+    """max|lambda| >= 2^1023 overflowed the power-of-two scale itself (OverflowError)."""
+    lam = np.array([1e308, 2.0])
+    assert alpha_real_root_bound(lam) == alpha_real_root_bound(np.ldexp(lam, -1024))
 
 
 def test_sdst_spectrum_past_overflow(rng):
@@ -710,10 +715,23 @@ def test_schur_equiangular_takes_no_2_norm(rng, monkeypatch):
     def refuse(*args):
         raise AssertionError("dense 2-norm computed")
 
-    monkeypatch.setattr(ea, "spectral_norm", refuse)
+    monkeypatch.setattr(factor, "spectral_norm", refuse)
     A = rng.standard_normal((6, 6))
     S, T = schur_equiangular(A, 0.3)
     assert np.abs(S.mat @ T - A @ S.mat).max() <= 1e-8 * np.abs(A).max()
+
+
+def test_schur_equiangular_takes_no_qr_and_no_dense_solve(rng, monkeypatch):
+    """S = Qs T_alpha and T = T_alpha^-1 Ts T_alpha are closed forms on the Schur basis."""
+    pytest.importorskip("scipy")
+    def refuse(*args, **kwargs):
+        raise AssertionError("QR or dense solve called")
+
+    monkeypatch.setattr(ea, "qr", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    A = rng.standard_normal((6, 6))
+    S, T = schur_equiangular(A, 0.3)
+    assert np.abs(S.mat @ T - A @ S.mat).max() <= 1e-12 * np.abs(A).max()
 
 
 def test_schur_equiangular_symmetric_is_triangular(rng):

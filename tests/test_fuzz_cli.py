@@ -47,9 +47,13 @@ DOCUMENTED = {0, 1} | {
 
 # ---- inputs ------------------------------------------------------------------
 
+# Entries near DBL_MAX, where a column norm plus one entry passes DBL_MAX.  The
+# scaled bases below stop at 1e308 and DBL_MAX/2: 1.25 * 2^1023 overflows.
+TOP = [1e308, -1e308, 2.0**1023, np.finfo(float).max / 2]
+
 entries = st.one_of(
     st.just(0.0),
-    st.sampled_from([1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0, 0.5]),
+    st.sampled_from([1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0, 0.5] + TOP),
     st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False),
 )
 
@@ -62,7 +66,7 @@ def matrices(draw, max_side=6, square=False, min_side=1):
     if draw(st.booleans()):  # a well-conditioned base, scaled: most ops get past their checks
         M = np.eye(r, c) + 0.25 * np.array(draw(st.lists(
             st.floats(-1, 1), min_size=r * c, max_size=r * c))).reshape(r, c)
-        M *= draw(st.sampled_from([1.0, 1e-300, 1e-160, 1e160, 1e300, -3.0]))
+        M *= draw(st.sampled_from([1.0, 1e-300, 1e-160, 1e160, 1e300, -3.0, 1e308, -1e308, np.finfo(float).max / 2]))
     else:
         M = np.array(draw(st.lists(entries, min_size=r * c, max_size=r * c))).reshape(r, c)
     if c > 1 and draw(st.integers(0, 4)) == 0:

@@ -1,0 +1,120 @@
+"""Metamorphic relations of the SR decomposition and the equiangular Schur form.
+
+Each relation holds exactly for full-rank input, so it needs no reference
+solution (metamorphic testing: Chen, Cheung and Yiu, HKUST-CS98-01, 1998):
+
+* ``sr_decompose(U A)`` gives U S and R for an orthogonal U, because the QR
+  factorization with a positive diagonal is unique;
+* ``sr_decompose(2^k A)`` gives S and 2^k R for every k that keeps 2^k A,
+  its triangular factors and the back-substitution finite, up to k near 1023;
+* ``schur_equiangular(A, alpha)`` gives A S = S T with S^T S = G_alpha and a
+  quasi-triangular T.
+
+The SR tolerances are normwise backward-error bounds c n u kappa, with u the
+unit roundoff and kappa = kappa_2(A) kappa_2(T_alpha), the condition of the QR
+factors times that of the Cholesky factor T_alpha of G_alpha (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 19).  Draws are
+derandomized by the hypothesis profiles in ``conftest.py``; sizes reach 512.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from eqkit.ea import sr_decompose
+from eqkit.factor import schur_equiangular
+from eqkit.gram import GramParams, gram_matrix
+from eqkit.kernel import qr, spectral_norm
+
+given = pytest.importorskip("hypothesis").given
+st = pytest.importorskip("hypothesis.strategies")
+
+U_ROUND = np.finfo(float).eps / 2
+C = 10.0  # the constant c of c n u kappa
+SIZES = [1, 2, 3, 5, 8, 20, 64, 160, 512]
+
+
+@st.composite
+def sr_inputs(draw):
+    """(A, alpha): a Gaussian n x m A, m <= n <= 512, and a cosine its m columns can share."""
+    n = draw(st.sampled_from(SIZES))
+    m = draw(st.integers(1, n))
+    lo = -1.0 / (m - 1) + 1e-3 if m > 1 else -0.999
+    alpha = draw(st.one_of(st.sampled_from([lo, 0.0, 0.999]), st.floats(lo, 0.999)))
+    A = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, m))
+    return A, alpha
+
+
+def _kappa(A, alpha):
+    """kappa_2(A) kappa_2(T_alpha); G_alpha's eigenvalues are 1 - alpha and 1 + (m - 1) alpha."""
+    m = A.shape[1]
+    g = sorted((1.0 - alpha, 1.0 + (m - 1) * alpha)) if m > 1 else (1.0, 1.0)
+    return float(np.linalg.cond(A)) * math.sqrt(g[1] / g[0])
+
+
+def _relative(X, Y):
+    return np.linalg.norm(X - Y) / np.linalg.norm(Y)
+
+
+@given(sr_inputs(), st.integers(0, 2**32 - 1))
+def test_sr_of_a_rotated_input_rotates_s(inputs, seed):
+    A, alpha = inputs
+    n = A.shape[0]
+    U, _ = qr(np.random.default_rng(seed).standard_normal((n, n)))
+    rotated, plain = sr_decompose(U @ A, math.acos(alpha)), sr_decompose(A, math.acos(alpha))
+    tol = C * n * U_ROUND * _kappa(A, alpha)
+    assert _relative(rotated.S.mat, U @ plain.S.mat) <= tol
+    assert _relative(rotated.R, plain.R) <= tol
+
+
+@given(sr_inputs(), st.data())
+def test_sr_of_a_power_of_two_multiple_scales_r(inputs, data):
+    A, alpha = inputs
+    plain = sr_decompose(A, math.acos(alpha))
+    # The largest k that keeps the column norms of 2^k A (which bound R_qr) and
+    # each partial row sum of the back-substitution (at most a column sum of |R|) finite.
+    big = max(np.linalg.norm(A, axis=0).max(), np.abs(plain.R).sum(axis=0).max())
+    hi = 1024 - math.frexp(big)[1]
+    k = data.draw(st.one_of(st.sampled_from([-1000, -3, 5, min(900, hi), hi]), st.integers(-1000, hi)))
+    _assert_scales_r(A, alpha, plain, k)
+
+
+@pytest.mark.parametrize("k", [-1000, -3, 5, 900, 1024])
+def test_sr_scaling_reaches_dbl_max(k):
+    """At k = 1024, |a_11| + ||a_1|| passes DBL_MAX, which overflowed LAPACK's Householder vector."""
+    A = np.array([[0.5, 0.5], [0.5, -0.5]])
+    _assert_scales_r(A, 0.3, sr_decompose(A, math.acos(0.3)), k)
+
+
+def _assert_scales_r(A, alpha, plain, k):
+    """``sr_decompose(2^k A)`` is S and 2^k R of ``plain``, the SR factors of A."""
+    scaled = sr_decompose(np.ldexp(A, k), math.acos(alpha))
+    tol = C * A.shape[0] * U_ROUND * _kappa(A, alpha)
+    assert _relative(scaled.S.mat, plain.S.mat) <= tol
+    assert _relative(np.ldexp(scaled.R, -k), plain.R) <= tol
+
+
+def _assert_schur_form(A, alpha):
+    """A S = S T within 1e-12 ||A||_2, S^T S = G_alpha within 1e-13, T quasi-triangular."""
+    n = A.shape[0]
+    S, T = schur_equiangular(A, alpha)
+    assert spectral_norm(A @ S.mat - S.mat @ T) <= 1e-12 * spectral_norm(A)
+    G = gram_matrix(GramParams(n, alpha)) if n > 1 else np.ones((1, 1))
+    assert np.abs(S.mat.T @ S.mat - G).max() <= 1e-13
+    sub = np.diag(T, -1) != 0.0
+    assert not np.tril(T, -2).any() and not (sub[1:] & sub[:-1]).any()
+
+
+@given(st.sampled_from([1, 2, 3, 4, 7, 16, 48, 128]),
+       st.one_of(st.sampled_from([0.0, 0.3, 0.9, 0.999]), st.floats(0.0, 0.999)),
+       st.integers(0, 2**32 - 1))
+def test_schur_equiangular_is_a_similarity_onto_g_alpha(n, alpha, seed):
+    pytest.importorskip("scipy")
+    _assert_schur_form(np.random.default_rng(seed).standard_normal((n, n)), alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.999])
+def test_schur_equiangular_at_512(alpha):
+    pytest.importorskip("scipy")
+    _assert_schur_form(np.random.default_rng(512).standard_normal((512, 512)), alpha)
