@@ -33,7 +33,7 @@ from .factor import _require_basis, alpha_real_root_bound, sdst_factor
 from .frames import is_etf, simplex_frame, welch_alpha
 from .gram import GramParams
 from .io import read_matrix, write_matrix
-from .kernel import generic_inverse, spectral_norm, sym_eig
+from .kernel import _refuse_overflow, generic_inverse, spectral_norm, sym_eig
 from .spectral import benchmark_inverse, fast_inverse, fit_exponent
 
 BENCH_SIZES = (64, 128, 256, 512)
@@ -203,8 +203,10 @@ def cmd_sdst(args) -> int:
     scale = max(1.0, spectral_norm(A))
     e = math.frexp(scale)[1]  # sum(d) and trace(A) in units of 2^e >= scale: exact, and finite near DBL_MAX
     trace_gap = math.ldexp(abs(np.ldexp(d, -e).sum() - np.trace(np.ldexp(A, -e))), e)
+    with _refuse_overflow("S diag(d) S^T"):
+        E = (S * d) @ S.T - A
     checks = {
-        "sdst_residual": _check(spectral_norm((S * d) @ S.T - A), max(args.tol, 1e-7) * scale),
+        "sdst_residual": _check(spectral_norm(E), max(args.tol, 1e-7) * scale),
         "trace_match": _check(trace_gap, 1e-8 * scale),
     }
     extra = {"parameters": {"alpha": args.alpha}, "d": [float(x) for x in fac.D]}

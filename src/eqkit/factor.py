@@ -13,9 +13,8 @@ and the bound on alpha.  Spectra with a repeated eigenvalue are handled
 separately: the (n-1, 1) two-value pattern factors in closed form as
 A = r S S^T, while an eigenvalue repeated k times with 2 <= k <= n-2 is not
 supported, although such spectra can factor (k+1 of the d's equal
-lambda / (1 - alpha)).  Zero eigenvalues (at most n-2 of them)
-ride along by factoring the nonzero block and extending the basis by the S
-factor alone of an SR factorization.
+lambda / (1 - alpha)).  Zero eigenvalues take the same route, any number of
+them: z zeros make e_k vanish for k > n - z, which gives z roots d = 0.
 
 This module also recovers equiangular structure from a matrix: a Schur-like
 splitting A = S T S^-1 with S equiangular, and detection of whether A's
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ea import EquiangularMatrix, _solve_t, _sr_frame, _t_entries, _times_t, certify_equiangular, triangular_equiangular
+from .ea import EquiangularMatrix, _solve_t, _t_entries, _times_t, certify_equiangular, triangular_equiangular
 from .ea import sr_decompose  # noqa: F401  perfbench/spans.py traces it
 from .errors import (
     ComplexSpectrum,
@@ -51,7 +50,6 @@ from .kernel import (
     real_schur,
     require_square,
     snap_real,
-    spectral_norm,
     sym_eig,
 )
 
@@ -70,7 +68,6 @@ class PolySpec:
 class SDSTFactorization:
     S: EquiangularMatrix
     D: np.ndarray
-    residual: float
 
 
 def elementary_symmetric(values) -> np.ndarray:
@@ -236,13 +233,14 @@ def two_eigenvalue_factor(A) -> tuple[float, EquiangularMatrix]:
 
 
 def sdst_factor(A, alpha: float) -> SDSTFactorization:
-    """Factor symmetric A as S diag(d) S^T with S equiangular at ``alpha``.
+    """Factor symmetric A as S diag(D) S^T, D ascending, with S equiangular at ``alpha``.
 
     Parameters
     ----------
     A : symmetric (n, n) array_like
-        Spectrum must have distinct nonzero eigenvalues, with at most n-2
-        zeros allowed alongside them.
+        Its nonzero eigenvalues must be distinct.  Eigenvalues within
+        CLUSTER_RTOL max(1, max|lambda|) of zero count as exact zeros, any
+        number of them, and each gives a root d = 0.
     alpha : float in (0, 1)
         Target pairwise cosine of the basis columns.
 
@@ -270,16 +268,14 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
     Q, w = sym_eig(A)
     scale = max(1.0, float(np.max(np.abs(w))))
     zero_mask = np.abs(w) <= CLUSTER_RTOL * scale
+    w[zero_mask] = 0.0  # z exact zeros make e_k vanish for k > n - z: z roots d = 0
     nz = w[~zero_mask]
-    n_zero = int(np.count_nonzero(zero_mask))
-    if n_zero > n - 2:
-        raise MultiplicityUnsupported(f"{n_zero} zero eigenvalues exceed the n-2 allowance")
 
     groups = _clusters(nz, scale)
     sizes = [len(g) for g in groups]
     if max(sizes) > 1 and len(groups) > 1:
         same_sign = bool((nz > 0).all() or (nz < 0).all())
-        if n_zero == 0 and len(groups) == 2 and sorted(sizes) == [1, n - 1] and same_sign:
+        if len(groups) == 2 and sorted(sizes) == [1, n - 1] and same_sign:
             raise MultiplicityUnsupported(
                 "two-value (n-1, 1) spectrum: use two_eigenvalue_factor"
             )
@@ -287,40 +283,22 @@ def sdst_factor(A, alpha: float) -> SDSTFactorization:
     # A single all-equal group (e.g. A = r I) is allowed through: its
     # polynomial provably has non-real roots and the error surfaces below.
 
-    m = nz.size
-    # Reorder the eigenbasis so the nonzero part (ascending) comes first.
-    order = np.concatenate([np.flatnonzero(~zero_mask), np.flatnonzero(zero_mask)])
-    Qp = Q[:, order]
-
-    p, roots_at = _root_solver(nz)
+    p, roots_at = _root_solver(w)
     roots = roots_at(alpha)
     if np.count_nonzero(roots.imag):
         raise NonRealRoots(f"{np.count_nonzero(roots.imag)} non-real roots at alpha={alpha!r}")
     with _refuse_overflow(f"d at alpha={alpha!r}"):
         d = np.ldexp(np.sort(roots.real), p)
 
-    sbar = GramParams(m, alpha).operator.sqrt()
+    sbar = GramParams(n, alpha).operator.sqrt()
     with _refuse_overflow("sbar diag(d) sbar"):
         Qm, mu = sym_eig(sbar.right_multiply(sbar.left_multiply(np.diag(d))))
     with np.errstate(over="ignore"):  # an overflowed gap is inf, which fails the test
-        gap = float(np.max(np.abs(np.sort(mu) - np.sort(nz))))
+        gap = float(np.max(np.abs(np.sort(mu) - w)))
     if gap > 1e-7 * scale:
         raise NonRealRoots("recovered spectrum does not match the target within 1e-7")
-    S = sbar.right_multiply(_fix_column_signs(Qm).T)  # factors diag(nz ascending)
-
-    if n_zero:
-        # This S's Gram matrix is G_alpha, so it is its own SR factor and the
-        # SR factor of blockdiag(S, I) extends it by the zero-eigenvalue
-        # directions; only that S is formed, not R or the residual S R - B.
-        B = np.eye(n)
-        B[:m, :m] = S
-        S = _sr_frame(B, math.acos(alpha))[0].mat
-    d_full = np.concatenate([d, np.zeros(n_zero)])
-
-    S_out = Qp @ S
-    with _refuse_overflow("S diag(d) S^T"):
-        residual = spectral_norm((S_out * d_full) @ S_out.T - A)
-    return SDSTFactorization(EquiangularMatrix(S_out, alpha), d_full, residual)
+    S = sbar.right_multiply(_fix_column_signs(Qm).T)  # factors diag(w ascending)
+    return SDSTFactorization(EquiangularMatrix(Q @ S, alpha), d)
 
 
 def schur_equiangular(A, alpha: float) -> tuple[EquiangularMatrix, np.ndarray]:

@@ -483,6 +483,17 @@ def test_sdst_command(tmp_path, capsys):
     assert np.linalg.norm(S @ np.diag(d) @ S.T - np.diag([1.0, 2.0, 3.0]), 2) <= 1e-7
 
 
+def test_sdst_of_n_minus_1_zero_eigenvalues(tmp_path, capsys):
+    """diag(0, 0, 1) factors at every cosine in (0, 1): its two zero eigenvalues are two roots d = 0."""
+    afile = tmp_path / "a.csv"
+    write_matrix(afile, np.diag([0.0, 0.0, 1.0]))
+    code, rep, err = run_cli(capsys, "sdst", afile, "--alpha", 0.1, "--out", f"{tmp_path}/")
+    assert (code, err) == (0, "")
+    assert rep["passed"] is True
+    assert rep["d"] == [0.0, 0.0, 1.0]
+    assert read_matrix(rep["outputs"]["D"]).ravel().tolist() == [0.0, 0.0, 1.0]
+
+
 def test_sdst_find_alpha_bound(tmp_path, capsys):
     afile = tmp_path / "a.csv"
     write_matrix(afile, np.diag([1.0, 2.0, 3.0]))

@@ -5,6 +5,7 @@ import pytest
 
 import eqkit.ea as ea
 import eqkit.factor as factor
+import eqkit.kernel as kernel
 from eqkit.ea import certify_equiangular, triangular_equiangular
 from eqkit.errors import (
     ComplexSpectrum,
@@ -399,10 +400,31 @@ def test_two_eigenvalue_rejections(diag):
 # ---- sdst_factor -----------------------------------------------------------
 
 
+def _sdst_residual(f, A):
+    """||S diag(D) S^T - A||_2 of a factorization of A."""
+    return spectral_norm((f.S.mat * f.D) @ f.S.mat.T - A)
+
+
+def _assert_sdst_bounds(f, A, alpha, base=0.0):
+    """The residual within base + 1e-12 max(1, max|lambda|) and S^T S = G_alpha within 1e-12."""
+    assert _sdst_residual(f, A) <= base + 1e-12 * max(1.0, float(np.abs(sym_eig(A)[1]).max()))
+    S = f.S.mat
+    assert np.abs(S.T @ S - gram_matrix(GramParams(S.shape[1], f.S.alpha))).max() <= 1e-12
+    assert f.S.alpha == alpha
+
+
+def _refuse_2_norm(monkeypatch):
+    """Make a 2-norm through ``spectral_norm`` raise, from factor's own name or kernel's."""
+    def refuse(*args):
+        raise AssertionError("dense 2-norm computed")
+
+    monkeypatch.setattr(factor, "spectral_norm", refuse, raising=False)
+    monkeypatch.setattr(kernel, "spectral_norm", refuse)
+
+
 def test_sdst_fixture_123():
     A = np.diag([1.0, 2.0, 3.0])
     f = sdst_factor(A, 0.1)
-    assert f.residual <= 1e-8
     assert abs(f.D.sum() - 6.0) <= 1e-10
     assert np.linalg.norm(f.S.mat @ np.diag(f.D) @ f.S.mat.T - A, 2) <= 1e-8
     assert certify_equiangular(f.S, tol=1e-8) == pytest.approx(0.1, abs=1e-8)
@@ -425,7 +447,7 @@ def test_sdst_rejects_zero_one_one():
 
 
 def test_sdst_zero_eigenvalues_extension(rng):
-    # up to n-2 zeros ride along via the EA block extension
+    # each zero eigenvalue is a root d = 0 of the same polynomial
     for spectrum, alpha in [
         ([0.0, 0.0, 1.0, 2.0, 3.5], 0.12),
         ([0.0, 0.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0], 0.05),
@@ -435,26 +457,18 @@ def test_sdst_zero_eigenvalues_extension(rng):
         Q, _ = np.linalg.qr(g)
         A = Q @ np.diag(spectrum) @ Q.T
         f = sdst_factor(A, alpha)
-        assert f.residual <= 1e-8 * np.linalg.norm(A, 2)
+        assert _sdst_residual(f, A) <= 1e-8 * np.linalg.norm(A, 2)
         assert np.sort(f.D)[:n_zero] == pytest.approx([0.0] * n_zero, abs=1e-9)
         assert certify_equiangular(f.S, tol=1e-8) == pytest.approx(alpha, abs=1e-8)
 
 
-def test_sdst_zero_eigenvalues_take_one_2_norm(rng, monkeypatch):
-    """The SR extension of the zero-eigenvalue block reads no SR residual, so
-    the only 2-norm is the one of the factorization's own residual."""
-    calls = []
-
-    def counted(X):
-        calls.append(X.shape)
-        return spectral_norm(X)
-
-    monkeypatch.setattr(factor, "spectral_norm", counted)
+def test_sdst_takes_no_2_norm(rng, monkeypatch):
+    """No S diag(d) S^T - A is formed or measured: a caller that wants the residual takes it."""
     Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     A = Q @ np.diag([0.0, 0.0, 1.0, 2.0, 3.5]) @ Q.T
+    _refuse_2_norm(monkeypatch)
     f = sdst_factor(A, 0.12)
-    assert calls == [(5, 5)]
-    assert f.residual <= 1e-8 * np.linalg.norm(A, 2)
+    assert _sdst_residual(f, A) <= 1e-8 * np.linalg.norm(A, 2)
 
 
 def test_bound_at_the_top_of_the_float_range():
@@ -471,7 +485,7 @@ def test_sdst_spectrum_past_overflow(rng):
     A = Q @ np.diag(lam) @ Q.T
     f, g = sdst_factor(A, 0.05), sdst_factor(A * 2.0**700, 0.05)
     assert g.D / 2.0**700 == pytest.approx(f.D, rel=1e-12)
-    assert g.residual <= 1e-12 * 5.0 * 2.0**700
+    assert _sdst_residual(g, A * 2.0**700) <= 1e-12 * 5.0 * 2.0**700
     assert alpha_real_root_bound(lam * 2.0**700) == pytest.approx(alpha_real_root_bound(lam), abs=1e-6)
     # (1 - alpha)^59 underflows: the polynomial is not representable at all.
     with pytest.raises(OutOfRange):
@@ -479,43 +493,40 @@ def test_sdst_spectrum_past_overflow(rng):
 
 
 def _sdst_reference(A, alpha):
-    """(S, D, residual) of ``sdst_factor`` for an A it accepts, by its earlier
-    route: d from ``_reference_roots`` and the zero-eigenvalue extension from
-    ``sr_decompose``; NonRealRoots and OutOfRange with the same texts."""
+    """(S, D) of ``sdst_factor`` for an A it accepts, by its earlier route: d
+    from ``_reference_roots`` of the nonzero eigenvalues, and one d = 0 for
+    each zero eigenvalue.  S is None when an eigenvalue is zero: that route
+    took another basis of the zero eigenspace.  NonRealRoots and OutOfRange
+    with the same texts."""
     Q, w = sym_eig(A)
-    n = w.size
     scale = max(1.0, float(np.max(np.abs(w))))
-    zero = np.abs(w) <= factor.CLUSTER_RTOL * scale
-    lam = w[~zero]
-    m, n_zero = lam.size, n - lam.size
+    lam = w[np.abs(w) > factor.CLUSTER_RTOL * scale]
     lam_poly, s = _poly_scale_reference(lam)
     roots = _reference_roots(lam_poly, alpha)
     if np.any(roots.imag != 0.0):
         raise NonRealRoots(f"{int(np.count_nonzero(roots.imag != 0))} non-real roots at alpha={alpha!r}")
     d = np.sort(roots.real) * s
-    sbar = GramParams(m, alpha).operator.sqrt()
+    sbar = GramParams(lam.size, alpha).operator.sqrt()
     Qm, mu = sym_eig(sbar.right_multiply(sbar.left_multiply(np.diag(d))))
     if float(np.max(np.abs(np.sort(mu) - np.sort(lam)))) > 1e-7 * scale:
         raise NonRealRoots("recovered spectrum does not match the target within 1e-7")
-    S = sbar.right_multiply(factor._fix_column_signs(Qm).T)
-    if n_zero:
-        B = np.eye(n)
-        B[:m, :m] = S
-        S = ea.sr_decompose(B, math.acos(alpha)).S.mat
-    d_full = np.concatenate([d, np.zeros(n_zero)])
-    S_out = Q[:, np.concatenate([np.flatnonzero(~zero), np.flatnonzero(zero)])] @ S
-    return S_out, d_full, spectral_norm((S_out * d_full) @ S_out.T - A)
+    D = np.sort(np.concatenate([d, np.zeros(w.size - lam.size)]))
+    if lam.size < w.size:
+        return None, D
+    return Q @ sbar.right_multiply(factor._fix_column_signs(Qm).T), D
 
 
 def _sdst_outcome(factorize, A, alpha):
-    """The bytes of (S, D, residual), or the type and text of the refusal."""
+    """The bytes of S (None where the reference forms none) and of D sorted,
+    or the type and text of the refusal."""
     try:
         out = factorize(A, alpha)
     except (NonRealRoots, OutOfRange, MultiplicityUnsupported) as exc:
         return type(exc).__name__, str(exc)
     if isinstance(out, factor.SDSTFactorization):
-        out = (out.S.mat, out.D, out.residual)
-    return tuple(np.asarray(x).tobytes() for x in out)
+        out = (out.S.mat, out.D)
+    S, D = out
+    return None if S is None else S.tobytes(), np.sort(D).tobytes()
 
 
 def _rotated(rng, lam):
@@ -537,7 +548,11 @@ def test_sdst_matches_the_np_roots_reference_bitwise(rng, family):
             kinds.append(got[0] if isinstance(got[0], str) else "factored")
             if got[0] == "MultiplicityUnsupported":  # refused before any root is taken
                 continue
-            assert got == _sdst_outcome(_sdst_reference, A, a), (lam, a)
+            want = _sdst_outcome(_sdst_reference, A, a)
+            if want[0] is None:  # a zero eigenvalue: S is held to the bounds, not to bits
+                _assert_sdst_bounds(sdst_factor(A, a), A, a)
+                got = (None, got[1])
+            assert got == want, (lam, a)
     assert kinds.count("factored") >= 10 and kinds.count("NonRealRoots") >= 10
 
 
@@ -548,17 +563,25 @@ def test_sdst_overflow_matches_the_np_roots_reference():
     assert got == _sdst_outcome(_sdst_reference, A, 1.0 - 1e-8)
 
 
-@pytest.mark.parametrize("n", [4, 5, 7, 9])
-def test_sdst_zero_eigenvalues_match_the_sr_decompose_route(rng, n):
-    """The extension forms S alone; it has the bits of ``sr_decompose``'s S."""
-    for n_zero in range(1, n - 1):
+@pytest.mark.parametrize("n", range(2, 10))
+def test_sdst_factors_with_any_number_of_zero_eigenvalues(rng, n):
+    """z zero eigenvalues give z roots d = 0, for every z up to n; the other
+    d's are those of the nonzero block alone, to the bit.  The residual may
+    exceed the error the roots leave in the spectrum of S diag(D) S^T (it
+    reaches 1e-11 at n = 9 here, as without the zero) by 1e-12 max(1, max|lambda|) only."""
+    for n_zero in range(1, n + 1):
         lam = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 4.0, n)
         lam[:n_zero] = 0.0
-        a = 0.5 * alpha_real_root_bound(lam[n_zero:])
+        a = 0.5 * alpha_real_root_bound(lam)
         A = _rotated(rng, lam)
-        got = _sdst_outcome(sdst_factor, A, a)
-        assert not isinstance(got[0], str), (lam, got)
-        assert got == _sdst_outcome(_sdst_reference, A, a), lam
+        f = sdst_factor(A, a)
+        assert np.count_nonzero(f.D == 0.0) == n_zero, (lam, f.D)
+        _, w = sym_eig(A)
+        if n - n_zero >= 2:
+            block = w[np.abs(w) > factor.CLUSTER_RTOL * max(1.0, float(np.abs(w).max()))]
+            assert f.D[f.D != 0.0].tobytes() == sdst_factor(np.diag(block), a).D.tobytes(), lam
+        mu = np.linalg.eigvalsh((f.S.mat * f.D) @ f.S.mat.T)
+        _assert_sdst_bounds(f, A, a, float(np.abs(mu - w).max()))
 
 
 def test_sdst_never_calls_np_roots(rng, monkeypatch):
@@ -571,17 +594,19 @@ def test_sdst_never_calls_np_roots(rng, monkeypatch):
         (np.array([0.0, 0.0, 1.0, 2.0, 3.5]), 0.12),
         (2.0**700 * np.array([1.0, 2.0, 3.0, 5.0]), 0.05),
     ]:
-        f = sdst_factor(_rotated(rng, lam), a)
-        assert f.residual <= 1e-8 * np.abs(lam).max()
+        A = _rotated(rng, lam)
+        f = sdst_factor(A, a)
+        assert _sdst_residual(f, A) <= 1e-8 * np.abs(lam).max()
     with pytest.raises(NonRealRoots, match="non-real roots"):
         sdst_factor(3.0 * np.eye(4), 0.5)
     with pytest.raises(OutOfRange):
         sdst_factor(np.diag(np.arange(1.0, 61.0)), 1.0 - 1e-8)
 
 
-def test_sdst_too_many_zeros():
-    with pytest.raises(MultiplicityUnsupported):
-        sdst_factor(np.diag([0.0, 0.0, 1.0]), 0.1)
+def test_sdst_factors_with_n_minus_1_zeros():
+    f = sdst_factor(np.diag([0.0, 0.0, 1.0]), 0.1)
+    assert certify_equiangular(f.S, tol=1e-12) == pytest.approx(0.1, abs=1e-15)
+    assert f.D.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_sdst_alpha_validation():
@@ -615,7 +640,7 @@ def test_sdst_random_distinct_spectra(rng):
         A = Q @ np.diag(lam) @ Q.T
         alpha = min(0.05, 0.5 * alpha_real_root_bound(lam))
         f = sdst_factor(A, alpha)
-        assert f.residual <= 1e-7 * np.linalg.norm(A, 2)
+        assert _sdst_residual(f, A) <= 1e-7 * np.linalg.norm(A, 2)
         assert abs(f.D.sum() - lam.sum()) <= 1e-8
         done += 1
 
@@ -712,10 +737,7 @@ def test_schur_equiangular_carries_the_requested_cosine(rng, n):
 
 def test_schur_equiangular_takes_no_2_norm(rng, monkeypatch):
     pytest.importorskip("scipy")
-    def refuse(*args):
-        raise AssertionError("dense 2-norm computed")
-
-    monkeypatch.setattr(factor, "spectral_norm", refuse)
+    _refuse_2_norm(monkeypatch)
     A = rng.standard_normal((6, 6))
     S, T = schur_equiangular(A, 0.3)
     assert np.abs(S.mat @ T - A @ S.mat).max() <= 1e-8 * np.abs(A).max()

@@ -1,4 +1,5 @@
-"""Metamorphic relations of the SR decomposition and the equiangular Schur form.
+"""Metamorphic relations of the SR decomposition, the equiangular Schur form
+and the symmetric factorization A = S diag(d) S^T.
 
 Each relation holds exactly for full-rank input, so it needs no reference
 solution (metamorphic testing: Chen, Cheung and Yiu, HKUST-CS98-01, 1998):
@@ -8,13 +9,21 @@ solution (metamorphic testing: Chen, Cheung and Yiu, HKUST-CS98-01, 1998):
 * ``sr_decompose(2^k A)`` gives S and 2^k R for every k that keeps 2^k A,
   its triangular factors and the back-substitution finite, up to k near 1023;
 * ``schur_equiangular(A, alpha)`` gives A S = S T with S^T S = G_alpha and a
-  quasi-triangular T.
+  quasi-triangular T;
+* ``sdst_factor(U A U^T)`` gives the d of A, and ``sdst_factor(2^k A)`` gives
+  2^k d, because d is the root multiset of a polynomial whose c_k is
+  homogeneous of degree k in the spectrum;
+* ``alpha_real_root_bound(2^k lambda)`` is the bound of lambda up to the
+  bisection width.
 
 The SR tolerances are normwise backward-error bounds c n u kappa, with u the
 unit roundoff and kappa = kappa_2(A) kappa_2(T_alpha), the condition of the QR
 factors times that of the Cholesky factor T_alpha of G_alpha (Higham, Accuracy
-and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 19).  Draws are
-derandomized by the hypothesis profiles in ``conftest.py``; sizes reach 512.
+and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 19).  The d
+tolerances are c n u kappa max|d|, with kappa the normwise condition of the
+companion matrix's eigenvalues.  Neither is bitwise: LAPACK's balancing need
+not commute with a rotation or a scale.  Draws are derandomized by the
+hypothesis profiles in ``conftest.py``; sizes reach 512.
 """
 
 import math
@@ -23,11 +32,13 @@ import numpy as np
 import pytest
 
 from eqkit.ea import sr_decompose
-from eqkit.factor import schur_equiangular
+from eqkit.errors import NonRealRoots, OutOfRange
+from eqkit.factor import alpha_real_root_bound, build_poly, schur_equiangular, sdst_factor
 from eqkit.gram import GramParams, gram_matrix
 from eqkit.kernel import qr, spectral_norm
 
-given = pytest.importorskip("hypothesis").given
+hypothesis = pytest.importorskip("hypothesis")
+given, assume, reject = hypothesis.given, hypothesis.assume, hypothesis.reject
 st = pytest.importorskip("hypothesis.strategies")
 
 U_ROUND = np.finfo(float).eps / 2
@@ -118,3 +129,87 @@ def test_schur_equiangular_is_a_similarity_onto_g_alpha(n, alpha, seed):
 def test_schur_equiangular_at_512(alpha):
     pytest.importorskip("scipy")
     _assert_schur_form(np.random.default_rng(512).standard_normal((512, 512)), alpha)
+
+
+@st.composite
+def sdst_inputs(draw):
+    """(lam, alpha, k): n <= 12 eigenvalues, z of them zero and the others of
+    either sign with magnitudes 1e-2..1e2 and max|lam| >= 1, a cosine below
+    their real-root bound, and a k with max|2^k lam| >= 1 and k <= 40.
+
+    Below max|lam| = 1 the rules are absolute on purpose: eigenvalues within
+    CLUSTER_RTOL max(1, max|lam|) of zero count as zero, and roots snap onto
+    the real axis within ROOT_SNAP_RTOL (1 + |root|).  Up to k = 40 every c_k
+    stays finite at the bisection's top cosine 1 - 1e-6; above, a c_k can
+    overflow while every e_k is finite (``test_bound_where_c_k_overflows_before_e_k``).
+    """
+    n = draw(st.sampled_from([2, 3, 4, 5, 6, 8, 10, 12]))
+    z = draw(st.one_of(st.sampled_from([0, 1, n - 1, n]), st.integers(0, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-2.0, 2.0, n)
+    lam[-1] = math.copysign(max(abs(lam[-1]), 1.0), lam[-1])
+    lam[:z] = 0.0
+    bound = alpha_real_root_bound(lam)
+    assume(bound > 0.0)
+    alpha = bound * draw(st.floats(0.05, 0.9))
+    k = draw(st.integers(1 - math.frexp(max(float(np.abs(lam).max()), 1.0))[1], 40))
+    return lam, alpha, k
+
+
+def _root_kappa(lam, alpha):
+    """||C||_F max_i ||x_i|| ||y_i|| / |y_i^H x_i| / max_i |r_i| for the companion C
+    of ``build_poly(lam, alpha)`` without its trailing zero roots: a backward
+    error eps ||C||_F in its eigensolve moves each root by about eps kappa max|r| at most."""
+    coeffs = np.trim_zeros(build_poly(lam, alpha).coeffs, "b")
+    m = coeffs.size - 1
+    if not m:
+        return 1.0
+    C = np.eye(m, k=-1)
+    C[0] = -coeffs[1:]
+    r, X = np.linalg.eig(C)  # unit x_i; the rows of X^-1 are the y_i^H with y_i^H x_i = 1
+    return float(np.linalg.norm(C) * np.linalg.norm(np.linalg.inv(X), axis=1).max() / np.abs(r).max())
+
+
+def _factored_d(A, alpha):
+    """d of ``sdst_factor(A, alpha)``; a draw whose float64 roots miss the gate is rejected."""
+    try:
+        return sdst_factor(A, alpha).D
+    except NonRealRoots:
+        reject()
+
+
+def _assert_same_d(d, ref, lam, alpha):
+    tol = C * lam.size * U_ROUND * _root_kappa(lam, alpha) * np.abs(ref).max()
+    assert np.abs(d - ref).max() <= tol
+
+
+@given(sdst_inputs(), st.integers(0, 2**32 - 1))
+def test_sdst_of_a_rotated_input_gives_the_same_d(inputs, seed):
+    lam, alpha, _ = inputs
+    n = lam.size
+    U, _ = qr(np.random.default_rng(seed).standard_normal((n, n)))
+    ref = _factored_d(np.diag(lam), alpha)
+    _assert_same_d(sdst_factor(U @ np.diag(lam) @ U.T, alpha).D, ref, lam, alpha)
+
+
+@given(sdst_inputs())
+def test_sdst_of_a_power_of_two_multiple_scales_d(inputs):
+    lam, alpha, k = inputs
+    ref = _factored_d(np.diag(lam), alpha)
+    _assert_same_d(np.ldexp(sdst_factor(np.diag(np.ldexp(lam, k)), alpha).D, -k), ref, lam, alpha)
+
+
+@given(sdst_inputs())
+def test_bound_of_a_power_of_two_multiple(inputs):
+    """Within two bisection widths: the companion's rounding may flip the
+    all-real test at a cosine within one width of the bound."""
+    lam, _, k = inputs
+    assert abs(alpha_real_root_bound(np.ldexp(lam, k)) - alpha_real_root_bound(lam)) <= 2e-6
+
+
+@pytest.mark.xfail(strict=True, raises=OutOfRange,
+                   reason="the solver rescales the spectrum when some e_k overflows, not when only c_k does")
+def test_bound_where_c_k_overflows_before_e_k():
+    """At 2^245, e_4 of (1, 2, 3, 5) is finite but c_4 at alpha = 1 - 1e-6 is not."""
+    lam = np.array([1.0, 2.0, 3.0, 5.0])
+    assert abs(alpha_real_root_bound(np.ldexp(lam, 245)) - alpha_real_root_bound(lam)) <= 2e-6
